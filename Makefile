@@ -10,8 +10,8 @@ COVER_FLOOR ?= 79.1
 SMOKE_N ?= 65536
 
 # The hot-path trajectory battery (see bench-json / bench-check).
-BENCH_HOTPATH_ENGINE = SelectHotPath$$|SelectHotPathQuantized$$|SelectMixtureWarm
-BENCH_HOTPATH_INDEX = PermScan|AscendMerge|ParallelCount|IndexBuildQuantized|IndexAppend
+BENCH_HOTPATH_ENGINE = SelectHotPath$$|SelectMixtureWarm
+BENCH_HOTPATH_INDEX = PermScan|IndexAppend
 
 .PHONY: all build test test-race vet lint lint-fix fmt-check bench bench-json bench-check bench-labelstore bench-multiproxy bench-storage cover cover-check fuzz-smoke chaos-smoke profile
 
@@ -68,10 +68,7 @@ cover-check: cover
 # manifest replayer and the column/segment/dataset file parsers
 # arbitrary bytes: any input must yield a clean error or a view that
 # agrees with its declared counts — never a panic, never an
-# out-of-bounds replay. FuzzQuantizedEquivalence throws boundary-heavy
-# columns and thresholds at the 16-bit quantized index and requires
-# bit-identical results against the float index (committed seed corpus
-# in internal/index/testdata).
+# out-of-bounds replay.
 fuzz-smoke:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzLoadCSV$$' -fuzztime 10s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzLoadBinary$$' -fuzztime 10s
@@ -80,7 +77,6 @@ fuzz-smoke:
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzColumnFile$$' -fuzztime 10s
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzSegmentFile$$' -fuzztime 10s
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzDatasetFile$$' -fuzztime 10s
-	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzQuantizedEquivalence$$' -fuzztime 10s
 
 # Fault-injection battery + crash durability: chaos equivalence
 # (byte-identical Indices/Tau/oracle_calls under 30% injected
@@ -99,20 +95,18 @@ bench:
 	$(GO) test ./internal/index -bench 'IndexBuild|IndexAppend' -benchmem -run '^$$'
 	$(GO) test . -bench . -run '^$$'
 
-# Records the hot-path benchmark battery — steady-state select (float
-# and quantized), the mixture-warm spread-column select, the quantized
-# permutation scan vs the float scan, the loser-tree vs heap merge,
-# the parallel count reduction, quantized index build, and incremental
-# append — into
-# BENCH_hotpath.json, committed per PR: a "full" section at paper
-# scale (n=1e6) for the human-readable trajectory and a "smoke"
-# section at SMOKE_N that bench-check diffs in CI. ns/op is recorded
-# but never gated (noisy on shared VMs); allocs/op and bytes/op are.
+# Records the hot-path benchmark battery — steady-state select, the
+# mixture-warm spread-column select, the dense permutation scan, and
+# incremental append — into BENCH_hotpath.json, committed per PR: a
+# "full" section at paper scale (n=1e6) for the human-readable
+# trajectory and a "smoke" section at SMOKE_N that bench-check diffs
+# in CI. ns/op is recorded but never gated (noisy on shared VMs);
+# allocs/op and bytes/op are.
 bench-json:
 	{ $(GO) test ./internal/engine -bench '$(BENCH_HOTPATH_ENGINE)' -benchmem -run '^$$' && \
 	  $(GO) test ./internal/index -bench '$(BENCH_HOTPATH_INDEX)' -benchmem -run '^$$'; } | \
 	  $(GO) run ./cmd/bench-gate emit -out BENCH_hotpath.json -section full -n 1000000 \
-	    -note "Hot-path trajectory: steady-state SUPG select (float vs 16-bit quantized index, byte-identical results), mixture-warm select on a spread column (quantized <= float with scan-bytes/rec 2 vs 8), dense permutation scan traffic, loser-tree vs heap k-way merge, parallel count reduction, quantized build, and incremental append. ns/op recorded but not gated (noisy on shared VMs); CI gates allocs/op and bytes/op against the smoke section."
+	    -note "Hot-path trajectory: steady-state SUPG select, mixture-warm select on a spread column, dense permutation scan, and incremental append. ns/op recorded but not gated (noisy on shared VMs); CI gates allocs/op and bytes/op against the smoke section."
 	{ SUPG_BENCH_N=$(SMOKE_N) $(GO) test ./internal/engine -bench '$(BENCH_HOTPATH_ENGINE)' -benchmem -run '^$$' && \
 	  SUPG_BENCH_N=$(SMOKE_N) $(GO) test ./internal/index -bench '$(BENCH_HOTPATH_INDEX)' -benchmem -run '^$$'; } | \
 	  $(GO) run ./cmd/bench-gate emit -out BENCH_hotpath.json -section smoke -n $(SMOKE_N)

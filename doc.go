@@ -59,7 +59,9 @@
 // index: threshold counts are binary searches, the selected suffix
 // {x : A(x) >= tau} is extracted presorted, sampled positives are
 // folded in with a single merge, and weighted draws come from the
-// cached alias table. Steady-state query cost is therefore
+// cached alias table. Each query reads the index on its own
+// goroutine; only index builds fan out across workers, and concurrency
+// comes from serving many queries at once. Steady-state query cost is therefore
 // O(oracle budget + |result|) with a handful of allocations, instead
 // of the O(n log n) time and O(n) allocations per query of a
 // re-scanning implementation; see README.md for measured numbers.

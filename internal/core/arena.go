@@ -20,11 +20,10 @@ import "sync"
 //     that outlives the query (copy it out instead — see assembleFrom's
 //     no-threshold path).
 //   - A nil *arena is valid everywhere and falls back to plain make,
-//     which is how the public EstimateTau/EstimateTauFrom entry points
-//     run: their TauResult (Labeled map included) escapes to the
-//     caller, so it must own its memory.
-//   - Arenas are single-goroutine, like the random stream. The
-//     intra-query parallelism in internal/index never sees them.
+//     which is how the public EstimateTau entry point runs: its
+//     TauResult (Labeled map included) escapes to the caller, so it
+//     must own its memory.
+//   - Arenas are single-goroutine, like the random stream.
 type arena struct {
 	intBuf   []int
 	intOff   int

@@ -66,28 +66,19 @@ type JointResult struct {
 // guarantee carries over from stage 2 and precision is 1 (>= any
 // GammaPrecision). The oracle is unbudgeted by JT semantics.
 func SelectJoint(r *randx.Rand, scores []float64, orc oracle.Oracle, spec JointSpec, cfg Config) (JointResult, error) {
-	return SelectJointFrom(r, newRawSource(scores), orc, spec, cfg)
+	return SelectJointFromContextOptions(context.Background(), r, newRawSource(scores), orc, spec, cfg, SelectOptions{})
 }
 
-// SelectJointFrom is SelectJoint over any ScoreSource (see SelectFrom).
-func SelectJointFrom(r *randx.Rand, src ScoreSource, orc oracle.Oracle, spec JointSpec, cfg Config) (JointResult, error) {
-	return SelectJointFromContext(context.Background(), r, src, orc, spec, cfg)
-}
-
-// SelectJointFromContext is SelectJointFrom with cancellation (see
-// SelectFromContext). The stage-3 exhaustive filter — by far the most
-// oracle-hungry phase of a JT query — labels the whole candidate set
-// through one batch call, so a batch-capable oracle verifies candidates
-// with bounded parallelism.
-func SelectJointFromContext(ctx context.Context, r *randx.Rand, src ScoreSource, orc oracle.Oracle, spec JointSpec, cfg Config) (JointResult, error) {
-	return SelectJointFromContextOptions(ctx, r, src, orc, spec, cfg, SelectOptions{})
-}
-
-// SelectJointFromContextOptions is SelectJointFromContext with a
-// label-store tier. The store attaches to the innermost (unlimited)
-// budget wrapper, which every stage's labeling flows through, so in
-// charged mode the reported OracleCalls stay byte-identical to a
-// storeless run while the inner oracle's call count drops.
+// SelectJointFromContextOptions is SelectJoint over any ScoreSource,
+// with cancellation and a label-store tier (see
+// SelectFromContextOptions). The stage-3 exhaustive filter — by far the
+// most oracle-hungry phase of a JT query — labels the whole candidate
+// set through one batch call, so a batch-capable oracle verifies
+// candidates with bounded parallelism. The store attaches to the
+// innermost (unlimited) budget wrapper, which every stage's labeling
+// flows through, so in charged mode the reported OracleCalls stay
+// byte-identical to a storeless run while the inner oracle's call count
+// drops.
 func SelectJointFromContextOptions(ctx context.Context, r *randx.Rand, src ScoreSource, orc oracle.Oracle, spec JointSpec, cfg Config, sopts SelectOptions) (JointResult, error) {
 	if err := spec.Validate(); err != nil {
 		return JointResult{}, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"supg/internal/dataset"
@@ -93,22 +94,6 @@ func TestSelectSegmentedMatchesMonolithic(t *testing.T) {
 						t.Fatalf("n=%d segSize=%d %s/%v: %v", tbl.n, segSize, name, kind, err)
 					}
 					assertResultsEqual(t, labelFor(tbl.n, segSize, name, kind), want, got)
-					// The 16-bit quantized index must be invisible too:
-					// byte-identical Indices/Tau/OracleCalls against the
-					// float monolithic baseline at every segment size and
-					// estimator family.
-					quant, err := index.NewWithOptions(d.Scores(), index.Options{SegmentSize: segSize, Parallelism: 4, Quantize: true})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !quant.Quantized() {
-						t.Fatalf("n=%d segSize=%d: Quantize option ignored", tbl.n, segSize)
-					}
-					qgot, err := SelectFrom(randx.New(seed), quant, oracle.NewSimulated(d), spec, cfg)
-					if err != nil {
-						t.Fatalf("n=%d segSize=%d %s/%v quantized: %v", tbl.n, segSize, name, kind, err)
-					}
-					assertResultsEqual(t, labelFor(tbl.n, segSize, name, kind)+"/quantized", want, qgot)
 				}
 			}
 		}
@@ -144,7 +129,7 @@ func TestSelectJointSegmentedMatchesMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SelectJointFrom(randx.New(5), mono, oracle.NewSimulated(d), spec, DefaultSUPG())
+	want, err := SelectJointFromContextOptions(context.Background(), randx.New(5), mono, oracle.NewSimulated(d), spec, DefaultSUPG(), SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +138,7 @@ func TestSelectJointSegmentedMatchesMonolithic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SelectJointFrom(randx.New(5), seg, oracle.NewSimulated(d), spec, DefaultSUPG())
+		got, err := SelectJointFromContextOptions(context.Background(), randx.New(5), seg, oracle.NewSimulated(d), spec, DefaultSUPG(), SelectOptions{})
 		if err != nil {
 			t.Fatalf("segSize=%d: %v", segSize, err)
 		}

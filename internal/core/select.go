@@ -16,20 +16,13 @@ import (
 // a plain score slice. The oracle must already be budget-wrapped;
 // estimators never exceed spec.Budget draws.
 func EstimateTau(r *randx.Rand, scores []float64, o *oracle.Budgeted, spec Spec, cfg Config) (TauResult, error) {
-	return EstimateTauFrom(r, newRawSource(scores), o, spec, cfg)
-}
-
-// EstimateTauFrom is EstimateTau over any ScoreSource. Passing a
-// prebuilt index.ScoreIndex amortizes sorting and sampling-structure
-// construction across queries; results are identical to the raw-slice
-// path for the same random stream.
-func EstimateTauFrom(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config) (TauResult, error) {
 	// nil arena: the returned TauResult (Labeled map included) escapes
 	// to the caller, so every buffer must be freshly owned.
-	return estimateTau(r, src, o, spec, cfg, nil)
+	return estimateTau(r, newRawSource(scores), o, spec, cfg, nil)
 }
 
-// estimateTau is the arena-threaded dispatch behind EstimateTauFrom.
+// estimateTau is the arena-threaded dispatch behind EstimateTau and the
+// Select entry points.
 // With a non-nil arena the TauResult's Labeled map and any scratch are
 // arena-owned and die when the calling Select releases it.
 func estimateTau(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config, ar *arena) (TauResult, error) {
@@ -87,23 +80,12 @@ func Select(r *randx.Rand, scores []float64, orc oracle.Oracle, spec Spec, cfg C
 // indexed hot path. For a fixed random stream it returns exactly the
 // records the raw-slice path returns.
 func SelectFrom(r *randx.Rand, src ScoreSource, orc oracle.Oracle, spec Spec, cfg Config) (Result, error) {
-	return SelectFromContext(context.Background(), r, src, orc, spec, cfg)
-}
-
-// SelectFromContext is SelectFrom with cancellation: once ctx is done
-// the query stops consuming oracle budget and returns ctx's error. When
-// orc implements oracle.BatchOracle (e.g. an oracle.Dispatcher), each
-// round of sampled draws is labeled through one batch call, overlapping
-// slow oracle latency; results are bit-for-bit identical to the
-// sequential path for the same random stream.
-func SelectFromContext(ctx context.Context, r *randx.Rand, src ScoreSource, orc oracle.Oracle, spec Spec, cfg Config) (Result, error) {
-	return SelectFromContextOptions(ctx, r, src, orc, spec, cfg, SelectOptions{})
+	return SelectFromContextOptions(context.Background(), r, src, orc, spec, cfg, SelectOptions{})
 }
 
 // SelectOptions carries execution-environment tuning orthogonal to the
 // algorithm Config: the cross-query label store tier and its charging
-// mode. The zero value runs without a store, exactly as
-// SelectFromContext always has.
+// mode. The zero value runs without a store.
 type SelectOptions struct {
 	// Store is a shared label cache consulted before the oracle and
 	// extended with every fresh label (nil = none).
@@ -119,10 +101,15 @@ type SelectOptions struct {
 	OnCachedCharge func(n int)
 }
 
-// SelectFromContextOptions is SelectFromContext with a label-store
-// tier. In charged mode (the default) the result — Indices, Tau, and
-// OracleCalls — is byte-identical to a storeless run; only
-// Result.CachedLabels and the inner oracle's call count differ.
+// SelectFromContextOptions is SelectFrom with cancellation and a
+// label-store tier. Once ctx is done the query stops consuming oracle
+// budget and returns ctx's error. When orc implements
+// oracle.BatchOracle (e.g. an oracle.Dispatcher), each round of sampled
+// draws is labeled through one batch call, overlapping slow oracle
+// latency; results are bit-for-bit identical to the sequential path for
+// the same random stream. In charged mode (the default) the result —
+// Indices, Tau, and OracleCalls — is byte-identical to a storeless run;
+// only Result.CachedLabels and the inner oracle's call count differ.
 func SelectFromContextOptions(ctx context.Context, r *randx.Rand, src ScoreSource, orc oracle.Oracle, spec Spec, cfg Config, sopts SelectOptions) (Result, error) {
 	budgeted := oracle.NewBudgeted(orc, spec.Budget).WithContext(ctx).
 		WithStore(sopts.Store, sopts.FreeReuse).WithChargeHook(sopts.OnCachedCharge)

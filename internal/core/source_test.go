@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"supg/internal/dataset"
@@ -70,7 +71,7 @@ func TestSelectJointFromIndexMatchesRawPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxRes, err := SelectJointFrom(randx.New(5), ix, oracle.NewSimulated(d), spec, DefaultSUPG())
+	idxRes, err := SelectJointFromContextOptions(context.Background(), randx.New(5), ix, oracle.NewSimulated(d), spec, DefaultSUPG(), SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,6 @@ import (
 	"supg/internal/metrics"
 	"supg/internal/multiproxy"
 	"supg/internal/oracle"
-	"supg/internal/parallel"
 	"supg/internal/query"
 	"supg/internal/randx"
 	"supg/internal/storage"
@@ -148,23 +147,6 @@ type Options struct {
 	// BuildParallelism bounds concurrent segment builds per index
 	// (<= 0 selects GOMAXPROCS).
 	BuildParallelism int
-	// Quantize builds every score index with 16-bit quantized score
-	// codes (index.Options.Quantize): scans and binary searches run over
-	// 2-byte codes with exact-float tie-breaking at bucket boundaries,
-	// so results stay byte-identical while scan memory traffic drops
-	// ~4x. Persisted quantized indexes carry their code vectors to disk
-	// and recover without recomputation.
-	Quantize bool
-	// QueryParallelism bounds the intra-query parallel segment
-	// reductions — threshold counts, id gathers, and mixture builds —
-	// across ALL concurrent queries of this engine: one shared
-	// parallel.Pool hands out at most QueryParallelism-1 helper
-	// goroutines engine-wide, and every query's submitting goroutine
-	// always participates, so queries degrade to sequential instead of
-	// queueing. <= 0 selects GOMAXPROCS; 1 disables intra-query
-	// parallelism. Results are byte-identical at every setting — only
-	// RNG-free, order-independent phases fan out.
-	QueryParallelism int
 	// LabelCacheBytes bounds the cross-query oracle label store shared
 	// by every query and job of this engine (0 selects
 	// labelstore.DefaultMaxBytes; negative disables label reuse
@@ -309,8 +291,6 @@ func Open(seed uint64, opts Options) (*Engine, error) {
 		ixOpts: index.Options{
 			SegmentSize: opts.SegmentSize,
 			Parallelism: opts.BuildParallelism,
-			Quantize:    opts.Quantize,
-			QueryPool:   parallel.NewPool(opts.QueryParallelism),
 		},
 		opts:     opts,
 		labels:   labels,

@@ -128,8 +128,12 @@ func TestRestartReRegistrationInvalidatesDurably(t *testing.T) {
 	var calls2 int
 	e2 := persistEngine(t, dir, d, &calls2)
 	// Second registration of "p" in this process: an UPDATE, not a load.
+	// Proxy scans run on several goroutines, so the counter is locked.
+	var mu sync.Mutex
 	e2.RegisterProxy("p", func(i int) float64 {
+		mu.Lock()
 		calls2++
+		mu.Unlock()
 		return d.Score(i)
 	})
 	res, err := e2.Execute(persistTestSQL)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"supg/internal/benchtool"
-	"supg/internal/parallel"
 	"supg/internal/randx"
 )
 
@@ -64,129 +63,28 @@ func BenchmarkIndexBuild(b *testing.B) {
 
 // BenchmarkPermScan prices the dense AppendAtLeast scan — the paper's
 // "extract everything above tau" step at an unselective threshold,
-// which walks every record — on the float column versus the 16-bit
-// code vector. The quantized variant reads 2 bytes per record instead
-// of 8 (reported as scan-bytes/rec, the >= 3x traffic cut BENCH_
-// hotpath.json records); both emit identical ids, and neither
-// allocates (dst capacity is reused).
+// which walks every record of the float column. It does not allocate
+// (dst capacity is reused). The sub-benchmark keeps its historical
+// "float" name so the committed BENCH_hotpath.json baseline still
+// matches it.
 func BenchmarkPermScan(b *testing.B) {
 	scores := benchScores(benchBuildN)
 	const tau = 0.25 // ~75% of a uniform column matches: the dense path
-	for _, quantize := range []bool{false, true} {
-		name := "float"
-		if quantize {
-			name = "quantized"
-		}
-		b.Run(name, func(b *testing.B) {
-			ix, err := NewWithOptions(scores, Options{Quantize: quantize})
-			if err != nil {
-				b.Fatal(err)
-			}
-			dst := make([]int, 0, ix.CountAtLeast(tau))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst = ix.AppendAtLeast(dst[:0], tau)
-				if len(dst) == 0 {
-					b.Fatal("no matches")
-				}
-			}
-			// After ResetTimer: it clears previously reported metrics.
-			b.ReportMetric(float64(ix.ResidentBytes()), "resident-bytes")
-			b.ReportMetric(float64(ix.ScanBytesPerRecord()), "scan-bytes/rec")
-		})
-	}
-}
-
-// BenchmarkAscendMerge prices the k-way merge behind KthHighest and
-// threshold discovery: popping the top 4096 records from a segmented
-// index through the loser-tree Ascend versus the historical
-// container/heap merge it replaced (kept as the test oracle). Both
-// emit the identical stream; the tree does one comparison per level
-// with the quantized code inline instead of interface-dispatched sift
-// calls.
-func BenchmarkAscendMerge(b *testing.B) {
-	scores := benchScores(benchBuildN)
-	const topK = 4096
-	for _, quantize := range []bool{false, true} {
-		ix, err := NewWithOptions(scores, Options{SegmentSize: 128 << 10, Quantize: quantize})
+	b.Run("float", func(b *testing.B) {
+		ix, err := NewWithOptions(scores, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		suffix := ""
-		if quantize {
-			suffix = "-quantized"
-		}
-		for _, v := range []struct {
-			name   string
-			ascend func(func(int, float64) bool)
-		}{
-			{"loser-tree", ix.Ascend},
-			{"heap", ix.ascendHeap},
-		} {
-			ascend := v.ascend
-			b.Run(v.name+suffix, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					popped := 0
-					ascend(func(id int, score float64) bool {
-						popped++
-						return popped < topK
-					})
-					if popped != topK {
-						b.Fatalf("popped %d", popped)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkParallelCount prices the parallel CountAtLeast reduction:
-// per-segment partial sums on the shared query pool versus the
-// sequential walk. Counts are integers, so the parallel sum is exact
-// and the reported value is identical at any worker count.
-func BenchmarkParallelCount(b *testing.B) {
-	scores := benchScores(benchBuildN)
-	const tau = 0.25
-	for _, par := range []int{1, 8} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			// 16k-record segments put the index well past the >= 32
-			// segment gate that engages the parallel reduction.
-			ix, err := NewWithOptions(scores, Options{
-				SegmentSize: 16 << 10,
-				QueryPool:   parallel.NewPool(par),
-			})
-			if err != nil {
-				b.Fatal(err)
+		dst := make([]int, 0, ix.CountAtLeast(tau))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst = ix.AppendAtLeast(dst[:0], tau)
+			if len(dst) == 0 {
+				b.Fatal("no matches")
 			}
-			want := ix.CountAtLeast(tau)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if got := ix.CountAtLeast(tau); got != want {
-					b.Fatalf("count %d, want %d", got, want)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkIndexBuildQuantized prices quantized index construction
-// (the extra cost is one linear pass building both code vectors).
-func BenchmarkIndexBuildQuantized(b *testing.B) {
-	scores := benchScores(benchBuildN)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix, err := NewWithOptions(scores, Options{SegmentSize: 128 << 10, Parallelism: 1, Quantize: true})
-		if err != nil {
-			b.Fatal(err)
 		}
-		if ix.Len() != benchBuildN {
-			b.Fatal("bad build")
-		}
-	}
+	})
 }
 
 // BenchmarkIndexAppend prices appending one 256k-record segment to an

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-
-	"supg/internal/parallel"
 )
 
 // buildSorts counts segment permutation sorts performed process-wide by
@@ -31,20 +29,13 @@ type SegmentData struct {
 	Perm []int
 	// Sorted holds Column[Base+Perm[i]] — the segment's ascending run.
 	Sorted []float64
-	// Codes / SortedCodes are the segment's 16-bit score codes in record
-	// order and sorted order (see quantize.go). Both nil on an
-	// unquantized segment; when present, both must be len(Perm) long and
-	// satisfy Codes[i] == quantizeScore(sub[i]) and SortedCodes[i] ==
-	// Codes[Perm[i]].
-	Codes       []uint16
-	SortedCodes []uint16
 }
 
 // SegmentView exposes the i-th segment's artifacts for persistence.
 // The returned slices alias the index's internal state.
 func (ix *ScoreIndex) SegmentView(i int) SegmentData {
 	s := ix.segs[i]
-	return SegmentData{Base: s.base, Perm: s.perm, Sorted: s.sorted, Codes: s.codes, SortedCodes: s.qsorted}
+	return SegmentData{Base: s.base, Perm: s.perm, Sorted: s.sorted}
 }
 
 // External is a fully-materialized index image living in memory the
@@ -77,9 +68,9 @@ type External struct {
 // error; callers fall back to a full rebuild rather than serving
 // corrupt data.
 //
-// opts supplies the segment size and parallelism used for future
-// Appends and parallel mixture builds; it does not re-segment the
-// external image.
+// opts supplies the segment size and build parallelism used for
+// verification and future Appends; it does not re-segment the external
+// image.
 func FromExternal(ext External, opts Options) (*ScoreIndex, error) {
 	n := len(ext.Column)
 	if n == 0 {
@@ -100,11 +91,6 @@ func FromExternal(ext External, opts Options) (*ScoreIndex, error) {
 			return nil, fmt.Errorf("index: external segment %d has %d perm / %d sorted entries",
 				i, len(sd.Perm), len(sd.Sorted))
 		}
-		if (sd.Codes == nil) != (sd.SortedCodes == nil) ||
-			(sd.Codes != nil && (len(sd.Codes) != len(sd.Perm) || len(sd.SortedCodes) != len(sd.Perm))) {
-			return nil, fmt.Errorf("index: external segment %d has inconsistent code vectors (%d/%d codes for %d records)",
-				i, len(sd.Codes), len(sd.SortedCodes), len(sd.Perm))
-		}
 		next += len(sd.Perm)
 		if next > n {
 			return nil, fmt.Errorf("index: external segment %d overruns the %d-record column", i, n)
@@ -116,38 +102,18 @@ func FromExternal(ext External, opts Options) (*ScoreIndex, error) {
 
 	segs := make([]*segment, len(ext.Segments))
 	errs := make([]error, len(ext.Segments))
-	parallel.Run(opts.Parallelism, len(ext.Segments), func(j int) {
+	run(opts.Parallelism, len(ext.Segments), func(j int) {
 		sd := ext.Segments[j]
 		sub := ext.Column[sd.Base : sd.Base+len(sd.Perm)]
 		if err := verifySegmentData(sub, sd); err != nil {
 			errs[j] = err
 			return
 		}
-		seg := &segment{base: sd.Base, scores: sub, perm: sd.Perm, sorted: sd.Sorted,
-			codes: sd.Codes, qsorted: sd.SortedCodes}
-		if opts.Quantize && seg.codes == nil {
-			// The image was persisted unquantized; build the code vectors
-			// on the heap so the recovered index serves the configured
-			// representation. Results are identical either way.
-			seg.codes = quantizeSub(sub)
-			seg.qsorted = permuteCodes(seg.codes, sd.Perm)
-		}
-		segs[j] = seg
+		segs[j] = &segment{base: sd.Base, scores: sub, perm: sd.Perm, sorted: sd.Sorted}
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
-		}
-	}
-	// The index counts as quantized when every segment carries codes —
-	// whether configured (opts.Quantize) or adopted from a quantized disk
-	// image under a Quantize-off configuration (the codes are already
-	// verified, so serving them costs nothing and scans stay 2-byte).
-	quant := true
-	for _, s := range segs {
-		if s.codes == nil {
-			quant = false
-			break
 		}
 	}
 	return &ScoreIndex{
@@ -155,8 +121,6 @@ func FromExternal(ext External, opts Options) (*ScoreIndex, error) {
 		segs:     segs,
 		segSize:  opts.SegmentSize,
 		par:      opts.Parallelism,
-		pool:     opts.QueryPool,
-		quant:    quant,
 		backing:  ext.Backing,
 		mixtures: make(map[MixtureKey]*mixture),
 	}, nil
@@ -167,11 +131,7 @@ func FromExternal(ext External, opts Options) (*ScoreIndex, error) {
 // Perm is injective (two equal ids would force equal scores, breaking
 // strictness) and therefore a bijection on [0, len) — the unique sorted
 // permutation. Scores are additionally checked against the [0, 1]
-// non-NaN, no-negative-zero invariant every built index guarantees, and
-// any persisted code vectors are verified against the column in the
-// same pass: a stored code that diverges from quantizeScore of the
-// mmap'd float (bit rot, format skew) would silently misroute quantized
-// scans, so it is rejected like any other corruption.
+// non-NaN, no-negative-zero invariant every built index guarantees.
 func verifySegmentData(sub []float64, sd SegmentData) error {
 	n := len(sub)
 	for i, v := range sub {
@@ -180,10 +140,6 @@ func verifySegmentData(sub []float64, sd SegmentData) error {
 		}
 		if v == 0 && math.Signbit(v) {
 			return fmt.Errorf("index: external score -0 for record %d (unnormalized column)", sd.Base+i)
-		}
-		if sd.Codes != nil && sd.Codes[i] != quantizeScore(v) {
-			return fmt.Errorf("index: external code %d for record %d diverges from its score %g",
-				sd.Codes[i], sd.Base+i, v)
 		}
 	}
 	prevBits, prevID := uint64(0), -1
@@ -194,9 +150,6 @@ func verifySegmentData(sub []float64, sd SegmentData) error {
 		bits := math.Float64bits(sd.Sorted[i])
 		if bits != math.Float64bits(sub[p]) {
 			return fmt.Errorf("index: external sorted run diverges from column at record %d", sd.Base+p)
-		}
-		if sd.SortedCodes != nil && sd.SortedCodes[i] != sd.Codes[p] {
-			return fmt.Errorf("index: external sorted codes diverge at segment offset %d (base %d)", i, sd.Base)
 		}
 		// Non-negative floats order by their bit patterns, so one integer
 		// compare checks the (score, id) ascent.

@@ -32,33 +32,12 @@
 //   - AppendAtLeast emits each segment's matching ids in ascending id
 //     order; segments partition the id space in order, so the
 //     concatenation is globally ascending — the degenerate k-way merge.
-//   - Ascend streams (id, score) pairs in global (score, id) order via
-//     a loser-tree k-way merge of the per-segment sorted runs (see
-//     losertree.go) — the explicit form of the global sorted view a
-//     monolithic index stores. The selection hot path itself needs only
-//     the primitives above; Ascend is the exported iteration surface
-//     for consumers that want the merged order, and the equivalence
-//     tests pin it against both the retained heap merge (ascendHeap)
-//     and a monolithic sort.
 //   - Mixture computes the defensive weights with the exact per-element
 //     operations and left-to-right summation order of
-//     sampling.DefensiveWeights (segments only parallelize the
-//     embarrassingly-parallel transform step) and feeds them to the
-//     same global alias-table machinery, so weighted draws consume the
-//     random stream identically to the monolithic path. Per-segment
-//     cumulative weight masses are exposed for observability.
-//
-// # Quantized codes
-//
-// With Options.Quantize, each segment additionally carries a 16-bit
-// bucket code per record (floor(score·65536), clamped). The code map
-// is monotone, so a strict code inequality decides the exact score
-// inequality and only the threshold's own bucket — resolved with the
-// same float comparisons, in the same order, as the unquantized path —
-// ever consults the 8-byte column. Scans and merge comparisons walk 2
-// bytes per record instead of 8 while every operation stays
-// bit-identical to the float index; see quantize.go for the invariant
-// and the skew guard on dense scans.
+//     sampling.DefensiveWeights and feeds them to the same global
+//     alias-table machinery, so weighted draws consume the random stream
+//     identically to the monolithic path. Per-segment cumulative weight
+//     masses are exposed for observability.
 //
 // # Incremental append
 //
@@ -72,32 +51,18 @@
 // A ScoreIndex is immutable after New/Append and safe for concurrent
 // use by any number of queries; the mixture cache is internally
 // synchronized.
-//
-// # Intra-query parallelism
-//
-// Per-segment reductions — CountAtLeast partial counts, AppendAtLeast
-// gathers into presized per-segment slots, and the mixture
-// transform/normalize passes — fan out across the shared query pool
-// (Options.QueryPool). Only phases whose outputs are independent of
-// worker assignment parallelize: integer partial sums commute exactly,
-// gathers write disjoint presized slots concatenated in fixed segment
-// order, and the mixture's global normalizing sum stays one sequential
-// left-to-right pass because float addition is not associative. The
-// random stream is never consumed off the submitting goroutine, so
-// results are byte-identical at every parallelism level (pinned by the
-// equivalence sweeps in parallel_query_test.go).
+
 package index
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
-	"supg/internal/parallel"
 	"supg/internal/sampling"
 )
 
@@ -117,22 +82,6 @@ type Options struct {
 	// Parallelism bounds the number of segments built concurrently.
 	// <= 0 selects GOMAXPROCS.
 	Parallelism int
-	// Quantize additionally stores a 16-bit bucket code per record and
-	// runs scans and binary searches over the 2-byte codes, consulting
-	// the exact floats only inside the boundary bucket (see quantize.go).
-	// Results are byte-identical to an unquantized index; the option
-	// trades ~4 extra bits per record of resident memory for ~4x less
-	// scan traffic.
-	Quantize bool
-	// QueryPool bounds the intra-query parallel segment reductions —
-	// CountAtLeast partial counts, AppendAtLeast gathers, and the
-	// mixture transform/normalize passes. The pool is typically shared
-	// across every index of an engine (engine.Options.QueryParallelism);
-	// nil selects a private pool of Parallelism workers. Results are
-	// byte-identical at every setting: only phases whose outputs are
-	// order-independent (integer sums, disjoint writes) fan out, and the
-	// random stream is never touched off the submitting goroutine.
-	QueryPool *parallel.Pool
 }
 
 func (o Options) withDefaults() Options {
@@ -141,9 +90,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.QueryPool == nil {
-		o.QueryPool = parallel.NewPool(o.Parallelism)
 	}
 	return o
 }
@@ -172,15 +118,11 @@ type segment struct {
 	scores []float64 // sub-column, record order (aliases the global column)
 	perm   []int     // local ids ascending by (score, local id)
 	sorted []float64 // scores[perm[i]] — ascending
-	// codes / qsorted are the 16-bit quantized views of scores / sorted
-	// (nil on unquantized segments). See quantize.go.
-	codes   []uint16
-	qsorted []uint16
 }
 
 // countAtLeast returns the segment's |{x : A(x) >= tau}| in O(log S).
 func (s *segment) countAtLeast(tau float64) int {
-	return len(s.sorted) - s.cutAtLeast(tau)
+	return len(s.sorted) - sort.SearchFloat64s(s.sorted, tau)
 }
 
 // appendAtLeast appends the segment's global record ids with score >=
@@ -190,7 +132,7 @@ func (s *segment) countAtLeast(tau float64) int {
 // is cheaper than the sort and emits ids already ordered.
 func (s *segment) appendAtLeast(dst []int, tau float64) []int {
 	n := len(s.sorted)
-	cut := s.cutAtLeast(tau)
+	cut := sort.SearchFloat64s(s.sorted, tau)
 	k := n - cut
 	if k == 0 {
 		return dst
@@ -202,26 +144,6 @@ func (s *segment) appendAtLeast(dst []int, tau float64) []int {
 		}
 		slices.Sort(dst[start:])
 		return dst
-	}
-	if s.codes != nil && tau > 0 && tau <= 1 {
-		ct := quantizeScore(tau)
-		if lo, hi := s.codeBucket(ct); hi-lo <= n/8 {
-			// Quantized dense scan: 2 bytes per record, floats touched
-			// only in the boundary bucket. Strict code inequalities
-			// decide exact score inequalities (monotone map), so the
-			// emitted id set — and its record order — equals the float
-			// scan's. Guarded on the bucket population: a skewed column
-			// can concentrate in one bucket (e.g. Beta(0.01, 2) puts
-			// ~90% of records in bucket 0), and a dominant boundary
-			// bucket would make this path read both vectors — the float
-			// scan below is cheaper there.
-			for i, c := range s.codes {
-				if c > ct || (c == ct && s.scores[i] >= tau) {
-					dst = append(dst, s.base+i)
-				}
-			}
-			return dst
-		}
 	}
 	for i, sc := range s.scores {
 		if sc >= tau {
@@ -239,8 +161,6 @@ type ScoreIndex struct {
 	segs    []*segment
 	segSize int
 	par     int
-	pool    *parallel.Pool // intra-query reduction pool (Options.QueryPool)
-	quant   bool           // segments carry 16-bit score codes (Options.Quantize)
 	// backing pins externally-owned memory (a mapped file) the column
 	// and segment slices alias; nil for heap-built indexes. See
 	// FromExternal.
@@ -280,8 +200,6 @@ func NewWithOptions(scores []float64, opts Options) (*ScoreIndex, error) {
 		segs:     segs,
 		segSize:  opts.SegmentSize,
 		par:      opts.Parallelism,
-		pool:     opts.QueryPool,
-		quant:    opts.Quantize,
 		mixtures: make(map[MixtureKey]*mixture),
 	}, nil
 }
@@ -300,7 +218,7 @@ func (ix *ScoreIndex) Append(extra []float64) (*ScoreIndex, error) {
 	own := make([]float64, old+len(extra))
 	copy(own, ix.scores)
 	copy(own[old:], extra)
-	opts := Options{SegmentSize: ix.segSize, Parallelism: ix.par, Quantize: ix.quant, QueryPool: ix.pool}
+	opts := Options{SegmentSize: ix.segSize, Parallelism: ix.par}
 	fresh, err := buildSegments(own, old, opts)
 	if err != nil {
 		return nil, err
@@ -308,15 +226,12 @@ func (ix *ScoreIndex) Append(extra []float64) (*ScoreIndex, error) {
 	segs := make([]*segment, 0, len(ix.segs)+len(fresh))
 	for _, s := range ix.segs {
 		// Re-point the sub-column into the new backing array (values are
-		// bit-identical); perm, sorted, and the code vectors are local and
-		// shared as-is — codes are per-segment, so nothing rebases.
+		// bit-identical); perm and sorted are local and shared as-is.
 		segs = append(segs, &segment{
-			base:    s.base,
-			scores:  own[s.base : s.base+len(s.scores)],
-			perm:    s.perm,
-			sorted:  s.sorted,
-			codes:   s.codes,
-			qsorted: s.qsorted,
+			base:   s.base,
+			scores: own[s.base : s.base+len(s.scores)],
+			perm:   s.perm,
+			sorted: s.sorted,
 		})
 	}
 	segs = append(segs, fresh...)
@@ -325,8 +240,6 @@ func (ix *ScoreIndex) Append(extra []float64) (*ScoreIndex, error) {
 		segs:    segs,
 		segSize: ix.segSize,
 		par:     ix.par,
-		pool:    ix.pool,
-		quant:   ix.quant,
 		// Old segments share their perm/sorted slices, which may alias
 		// externally-owned memory — keep it pinned.
 		backing:  ix.backing,
@@ -346,13 +259,13 @@ func buildSegments(column []float64, start int, opts Options) ([]*segment, error
 	errs := make([]error, count)
 	errAt := make([]int, count)
 
-	parallel.Run(opts.Parallelism, count, func(j int) {
+	run(opts.Parallelism, count, func(j int) {
 		base := start + j*opts.SegmentSize
 		end := base + opts.SegmentSize
 		if end > len(column) {
 			end = len(column)
 		}
-		segs[j], errAt[j], errs[j] = buildSegment(column, base, end, opts.Quantize)
+		segs[j], errAt[j], errs[j] = buildSegment(column, base, end)
 	})
 
 	firstErr, firstAt := error(nil), -1
@@ -368,10 +281,9 @@ func buildSegments(column []float64, start int, opts Options) ([]*segment, error
 }
 
 // buildSegment validates column[base:end] and builds its sorted
-// permutation (plus, when quantize is set, the 16-bit code vectors).
-// The returned int is the global id of the offending record when
-// validation fails.
-func buildSegment(column []float64, base, end int, quantize bool) (*segment, int, error) {
+// permutation. The returned int is the global id of the offending
+// record when validation fails.
+func buildSegment(column []float64, base, end int) (*segment, int, error) {
 	sub := column[base:end]
 	for i, s := range sub {
 		if s < 0 || s > 1 || s != s {
@@ -411,15 +323,39 @@ func buildSegment(column []float64, base, end int, quantize bool) (*segment, int
 	for i, p := range perm {
 		sorted[i] = sub[p]
 	}
-	seg := &segment{base: base, scores: sub, perm: perm, sorted: sorted}
-	if quantize {
-		// Quantize AFTER the validation loop above so the codes are built
-		// from the normalized sub-column (-0.0 already rewritten to +0.0),
-		// never from the caller's raw values.
-		seg.codes = quantizeSub(sub)
-		seg.qsorted = permuteCodes(seg.codes, perm)
+	return &segment{base: base, scores: sub, perm: perm, sorted: sorted}, 0, nil
+}
+
+// run calls fn(0), ..., fn(n-1), each exactly once, across at most
+// workers goroutines, the caller included. Iterations are claimed from
+// an atomic counter, so fn must write only state disjoint between
+// iterations; segment builds and verifications qualify.
+func run(workers, n int, fn func(int)) {
+	if workers > n {
+		workers = n
 	}
-	return seg, 0, nil
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
+	}
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // Len returns the number of records.
@@ -438,26 +374,9 @@ func (ix *ScoreIndex) Score(i int) float64 { return ix.scores[i] }
 // is shared with the index and must be treated as read-only.
 func (ix *ScoreIndex) Scores() []float64 { return ix.scores }
 
-// countParallelMinSegs gates the parallel CountAtLeast reduction: each
-// segment contributes one O(log S) binary search, so fanning out pays
-// only when there are enough segments to amortize spawning helpers.
-// Below the bound (including every default-segment-size table under
-// ~8M records) the sequential loop is faster and allocation-free.
-const countParallelMinSegs = 32
-
 // CountAtLeast returns |{x : A(x) >= tau}| as the sum of exact
-// per-segment binary-search counts — O(S/segSize · log segSize). With
-// many segments and a query pool the per-segment counts fan out and
-// accumulate atomically; integer addition commutes exactly, so the sum
-// is identical to the sequential loop's at any parallelism.
+// per-segment binary-search counts — O(S/segSize · log segSize).
 func (ix *ScoreIndex) CountAtLeast(tau float64) int {
-	if len(ix.segs) >= countParallelMinSegs && ix.pool.Limit() > 1 {
-		var total atomic.Int64
-		ix.pool.ForEach(len(ix.segs), func(j int) {
-			total.Add(int64(ix.segs[j].countAtLeast(tau)))
-		})
-		return int(total.Load())
-	}
 	n := 0
 	for _, s := range ix.segs {
 		n += s.countAtLeast(tau)
@@ -495,125 +414,17 @@ func (ix *ScoreIndex) KthHighest(k int) float64 {
 	return math.Float64frombits(lo)
 }
 
-// appendParallelMinIDs gates the parallel AppendAtLeast gather: below
-// this many emitted ids the sequential per-segment loop beats the cost
-// of the counting pre-pass plus helper spawns.
-const appendParallelMinIDs = 1 << 14
-
 // AppendAtLeast appends the record ids with score >= tau to dst in
 // ascending id order and returns the extended slice. With capacity
 // already in dst (size it with CountAtLeast) the call does not
 // allocate. Segments partition the id space in ascending order, so
 // emitting each segment's ascending matches in segment order yields
 // the globally ascending id list.
-//
-// Large gathers with a query pool fan out: an exact per-segment count
-// pre-pass (binary searches) sizes disjoint destination slots at fixed
-// offsets, each segment emits into its own slot concurrently, and the
-// slots concatenate in segment order — every byte of output, and its
-// position, is the one the sequential loop writes.
 func (ix *ScoreIndex) AppendAtLeast(dst []int, tau float64) []int {
-	if len(ix.segs) > 1 && ix.pool.Limit() > 1 {
-		base := len(dst)
-		// Common segment counts keep the offset table on the stack so the
-		// pre-pass stays allocation-free on the hot path.
-		var offBuf [33]int
-		offs := offBuf[:]
-		if len(ix.segs)+1 > len(offBuf) {
-			offs = make([]int, len(ix.segs)+1)
-		}
-		for j, s := range ix.segs {
-			offs[j+1] = offs[j] + s.countAtLeast(tau)
-		}
-		if total := offs[len(ix.segs)]; total >= appendParallelMinIDs {
-			if cap(dst) < base+total {
-				grown := make([]int, base, base+total)
-				copy(grown, dst)
-				dst = grown
-			}
-			dst = dst[:base+total]
-			ix.pool.ForEach(len(ix.segs), func(j int) {
-				lo, hi := base+offs[j], base+offs[j+1]
-				// Full slice expression: a slot's cap ends where the next
-				// slot begins, so appendAtLeast can never write outside
-				// its own segment's range.
-				ix.segs[j].appendAtLeast(dst[lo:lo:hi], tau)
-			})
-			return dst
-		}
-	}
 	for _, s := range ix.segs {
 		dst = s.appendAtLeast(dst, tau)
 	}
 	return dst
-}
-
-// segCursor is one segment's position in the Ascend k-way merge.
-type segCursor struct {
-	seg *segment
-	pos int // index into seg.perm/seg.sorted
-}
-
-func (c segCursor) score() float64 { return c.seg.sorted[c.pos] }
-func (c segCursor) id() int        { return c.seg.base + c.seg.perm[c.pos] }
-
-// mergeHeap orders segment cursors by (score, global id) ascending.
-type mergeHeap []segCursor
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(a, b int) bool {
-	ca, cb := h[a], h[b]
-	// On a quantized index, a strict 2-byte code inequality decides the
-	// exact score comparison (monotone map); only code-equal cursors —
-	// one bucket in 65536 — touch the 8-byte sorted runs. The resulting
-	// order is identical either way.
-	if qa, qb := ca.seg.qsorted, cb.seg.qsorted; qa != nil && qb != nil {
-		if x, y := qa[ca.pos], qb[cb.pos]; x != y {
-			return x < y
-		}
-	}
-	if ca.score() != cb.score() {
-		return ca.score() < cb.score()
-	}
-	return ca.id() < cb.id()
-}
-func (h mergeHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(segCursor)) }
-func (h *mergeHeap) Pop() any     { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
-
-// Ascend streams every (record id, score) pair in ascending (score,
-// id) order — the global sorted view a monolithic index stores
-// explicitly — via a loser-tree k-way merge of the per-segment sorted
-// runs (see losertree.go), O(n log S) for S segments with one
-// comparison per level per pop and the quantized code carried inline.
-// Iteration stops when yield returns false.
-func (ix *ScoreIndex) Ascend(yield func(id int, score float64) bool) {
-	newLoserTree(ix.segs, ix.quant).ascend(yield)
-}
-
-// ascendHeap is the historical container/heap merge, retained as the
-// independent test oracle for the loser tree (the equivalence sweep in
-// losertree_test.go pins Ascend's output against it).
-func (ix *ScoreIndex) ascendHeap(yield func(id int, score float64) bool) {
-	h := make(mergeHeap, 0, len(ix.segs))
-	for _, s := range ix.segs {
-		if len(s.sorted) > 0 {
-			h = append(h, segCursor{seg: s})
-		}
-	}
-	heap.Init(&h)
-	for len(h) > 0 {
-		c := h[0]
-		if !yield(c.id(), c.score()) {
-			return
-		}
-		if c.pos+1 < len(c.seg.sorted) {
-			h[0].pos++
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
-	}
 }
 
 // maxCachedMixtures bounds the per-index mixture cache. Each entry
@@ -680,8 +491,7 @@ func (ix *ScoreIndex) mixtureEntry(exponent, mix float64) *mixture {
 }
 
 // buildMixture computes the defensive-mixture weights and their alias
-// table. The per-element transform runs in parallel across segments,
-// but every operation and the left-to-right summation order match
+// table. Every operation and the left-to-right summation order match
 // sampling.DefensiveWeights exactly, so the weight vector — and hence
 // the alias table and every draw made from it — is bit-for-bit the one
 // a monolithic index computes (TestMixtureMatchesDefensiveWeights
@@ -695,25 +505,23 @@ func (ix *ScoreIndex) buildMixture(exponent, mix float64) *mixture {
 		mix = 1
 	}
 	w := make([]float64, n)
-	ix.eachSegmentParallel(func(s *segment) {
-		for i, sc := range s.scores {
-			if sc < 0 {
-				sc = 0
-			}
-			var v float64
-			switch {
-			case exponent == 0:
-				v = 1
-			case exponent == 1:
-				v = sc
-			case exponent == 0.5:
-				v = math.Sqrt(sc)
-			default:
-				v = math.Pow(sc, exponent)
-			}
-			w[s.base+i] = v
+	for i, sc := range ix.scores {
+		if sc < 0 {
+			sc = 0
 		}
-	})
+		var v float64
+		switch {
+		case exponent == 0:
+			v = 1
+		case exponent == 1:
+			v = sc
+		case exponent == 0.5:
+			v = math.Sqrt(sc)
+		default:
+			v = math.Pow(sc, exponent)
+		}
+		w[i] = v
+	}
 	// Global left-to-right reduction: float addition is not
 	// associative, so per-segment partial sums would drift from the
 	// monolithic total by rounding and break bit-exact equivalence.
@@ -727,21 +535,11 @@ func (ix *ScoreIndex) buildMixture(exponent, mix float64) *mixture {
 			w[i] = uniform
 		}
 	} else {
-		ix.eachSegmentParallel(func(s *segment) {
-			for i := range s.scores {
-				j := s.base + i
-				w[j] = (1-mix)*w[j]/total + mix*uniform
-			}
-		})
+		for i := range w {
+			w[i] = (1-mix)*w[i]/total + mix*uniform
+		}
 	}
 	return &mixture{weights: w, alias: sampling.NewAlias(w)}
-}
-
-// eachSegmentParallel runs fn over every segment across the index's
-// shared query pool. fn must only write state disjoint between
-// segments.
-func (ix *ScoreIndex) eachSegmentParallel(fn func(*segment)) {
-	ix.pool.ForEach(len(ix.segs), func(j int) { fn(ix.segs[j]) })
 }
 
 // CachedMixtures reports how many (exponent, mix) entries the cache

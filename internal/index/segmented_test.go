@@ -9,9 +9,9 @@ import (
 	"supg/internal/sampling"
 )
 
-// quantizedScores generates a column with heavy ties (and exact 0/1
+// tiedScores generates a column with heavy ties (and exact 0/1
 // endpoints) so segment boundaries routinely split tie groups.
-func quantizedScores(seed uint64, n int) []float64 {
+func tiedScores(seed uint64, n int) []float64 {
 	r := randx.New(seed)
 	scores := make([]float64, n)
 	for i := range scores {
@@ -33,7 +33,7 @@ func segmentSizesFor(n int) []int {
 // array, direct order statistics).
 func TestSegmentedMatchesMonolithicPrimitives(t *testing.T) {
 	for _, n := range []int{1, 2, 9, 1000, 5000} {
-		scores := quantizedScores(uint64(100+n), n)
+		scores := tiedScores(uint64(100+n), n)
 		mono, err := NewWithOptions(scores, Options{SegmentSize: n})
 		if err != nil {
 			t.Fatal(err)
@@ -89,13 +89,13 @@ func assertIndexesEqual(t *testing.T, mono, seg *ScoreIndex, n, segSize int) {
 }
 
 // TestMixtureMatchesDefensiveWeights pins the bit-exactness contract
-// of the parallel mixture build: for every segmentation and every
+// of the mixture build: for every segmentation and every
 // exponent branch, the weight vector must equal
 // sampling.DefensiveWeights on the full column bit for bit, and draws
 // from the alias table must match a freshly built monolithic one.
 func TestMixtureMatchesDefensiveWeights(t *testing.T) {
 	n := 3000
-	scores := quantizedScores(7, n)
+	scores := tiedScores(7, n)
 	for _, segSize := range segmentSizesFor(n) {
 		ix, err := NewWithOptions(scores, Options{SegmentSize: segSize, Parallelism: 3})
 		if err != nil {
@@ -135,61 +135,13 @@ func TestMixtureMatchesDefensiveWeights(t *testing.T) {
 	}
 }
 
-// TestAscendMatchesGlobalSort verifies the k-way merge yields exactly
-// the (score, id)-ascending global order at every segmentation.
-func TestAscendMatchesGlobalSort(t *testing.T) {
-	n := 2500
-	scores := quantizedScores(21, n)
-	type pair struct {
-		id int
-		sc float64
-	}
-	want := make([]pair, n)
-	for i, s := range scores {
-		want[i] = pair{id: i, sc: s}
-	}
-	sort.Slice(want, func(a, b int) bool {
-		if want[a].sc != want[b].sc {
-			return want[a].sc < want[b].sc
-		}
-		return want[a].id < want[b].id
-	})
-	for _, segSize := range segmentSizesFor(n) {
-		ix, err := NewWithOptions(scores, Options{SegmentSize: segSize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pos := 0
-		ix.Ascend(func(id int, sc float64) bool {
-			if pos >= n {
-				t.Fatalf("segSize=%d: Ascend yielded more than %d records", segSize, n)
-			}
-			if id != want[pos].id || sc != want[pos].sc {
-				t.Fatalf("segSize=%d: Ascend[%d] = (%d, %v), want (%d, %v)",
-					segSize, pos, id, sc, want[pos].id, want[pos].sc)
-			}
-			pos++
-			return true
-		})
-		if pos != n {
-			t.Fatalf("segSize=%d: Ascend yielded %d of %d records", segSize, pos, n)
-		}
-		// Early stop must be honored.
-		stops := 0
-		ix.Ascend(func(int, float64) bool { stops++; return stops < 5 })
-		if stops != 5 {
-			t.Fatalf("segSize=%d: early stop yielded %d records, want 5", segSize, stops)
-		}
-	}
-}
-
 // TestAppendMatchesFreshBuild: an index grown by Append must answer
 // every primitive identically to one built from the full column in one
 // shot — including chains of appends and appends crossing segment
 // boundaries.
 func TestAppendMatchesFreshBuild(t *testing.T) {
 	n := 4000
-	scores := quantizedScores(33, n)
+	scores := tiedScores(33, n)
 	for _, segSize := range []int{7, 500, 1024, n} {
 		fresh, err := NewWithOptions(scores, Options{SegmentSize: segSize})
 		if err != nil {

@@ -55,16 +55,6 @@ type Options struct {
 	// IndexBuildParallelism bounds concurrent segment builds per index
 	// (default GOMAXPROCS).
 	IndexBuildParallelism int
-	// QuantizeIndex builds score indexes with 16-bit quantized score
-	// codes: byte-identical results, ~4x less scan memory traffic, code
-	// vectors persisted alongside segments when PersistDir is set. See
-	// engine.Options.Quantize.
-	QuantizeIndex bool
-	// QueryParallelism bounds the intra-query parallel segment
-	// reductions shared across all concurrent queries (default
-	// GOMAXPROCS; 1 disables). Results are byte-identical at every
-	// setting. See engine.Options.QueryParallelism.
-	QueryParallelism int
 	// LabelCacheBytes bounds the cross-query oracle label store shared
 	// by every query and job (default 64 MiB; negative disables label
 	// reuse). In the default charged mode the store changes only the
@@ -182,8 +172,6 @@ func Open(seed uint64, opts Options) (*Server, error) {
 	eng, err := engine.Open(seed, engine.Options{
 		SegmentSize:       opts.SegmentSize,
 		BuildParallelism:  opts.IndexBuildParallelism,
-		Quantize:          opts.QuantizeIndex,
-		QueryParallelism:  opts.QueryParallelism,
 		LabelCacheBytes:   opts.LabelCacheBytes,
 		LabelCacheShards:  opts.LabelCacheShards,
 		LabelWALPath:      opts.LabelWALPath,

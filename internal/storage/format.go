@@ -31,13 +31,11 @@ import (
 //	                 u64 count, u64 reserved (40-byte header), then the
 //	                 permutation (count u64 local ids) and the sorted
 //	                 scores (count float64).
-//	codes   (.qcv) — "SUPGQCV1" magic, u32 version, u32 pad, u64 base,
-//	                 u64 count, u64 reserved (40-byte header), then the
-//	                 record-order 16-bit score codes (count uint16) and
-//	                 the sorted-order codes (count uint16), each section
-//	                 zero-padded to the next multiple of 8. Optional
-//	                 sibling of a .seg file — present only for quantized
-//	                 indexes (index.Options.Quantize).
+//
+// Older data directories may also hold .qcv files: 16-bit score-code
+// siblings of .seg files, written by a since-removed quantized index.
+// Nothing reads them; replay drops their manifest references and the
+// boot-time orphan sweep deletes them.
 //
 // None of the files embed their own checksum: the CRC32 (Castagnoli)
 // and exact byte size of each file are recorded in the manifest entry
@@ -52,7 +50,6 @@ const (
 
 	colHeaderSize = 32
 	segHeaderSize = 40
-	qcvHeaderSize = 40
 
 	// maxFileRecords caps declared counts, mirroring dataset.maxRecords.
 	maxFileRecords = 1 << 33
@@ -61,7 +58,6 @@ const (
 var (
 	colMagic = [8]byte{'S', 'U', 'P', 'G', 'C', 'O', 'L', '1'}
 	segMagic = [8]byte{'S', 'U', 'P', 'G', 'S', 'E', 'G', '1'}
-	qcvMagic = [8]byte{'S', 'U', 'P', 'G', 'Q', 'C', 'V', '1'}
 
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
 )
@@ -127,49 +123,6 @@ func parseSegmentFile(data []byte) (segmentFile, error) {
 	}, nil
 }
 
-// codeSectionSize is one code section's on-disk size: count uint16
-// values zero-padded to the next multiple of 8, so both sections (and
-// anything after the file) keep the 8-aligned section discipline.
-func codeSectionSize(count int) int {
-	return (2*count + 7) &^ 7
-}
-
-// codeFile is the parsed structural view of a .qcv file.
-type codeFile struct {
-	base        int
-	count       int
-	codes       []byte // count*2 bytes of little-endian uint16, record order
-	sortedCodes []byte // count*2 bytes of little-endian uint16, sorted order
-}
-
-func parseCodeFile(data []byte) (codeFile, error) {
-	if len(data) < qcvHeaderSize {
-		return codeFile{}, fmt.Errorf("code file: %d bytes, shorter than the %d-byte header", len(data), qcvHeaderSize)
-	}
-	if [8]byte(data[:8]) != qcvMagic {
-		return codeFile{}, fmt.Errorf("code file: bad magic %q", data[:8])
-	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != formatVersion {
-		return codeFile{}, fmt.Errorf("code file: unsupported version %d", v)
-	}
-	base := binary.LittleEndian.Uint64(data[16:])
-	count := binary.LittleEndian.Uint64(data[24:])
-	if count == 0 || count > maxFileRecords || base > maxFileRecords {
-		return codeFile{}, fmt.Errorf("code file: implausible base %d / count %d", base, count)
-	}
-	section := codeSectionSize(int(count))
-	if want := int64(qcvHeaderSize + 2*section); int64(len(data)) != want {
-		return codeFile{}, fmt.Errorf("code file: %d bytes, want %d for %d entries", len(data), want, count)
-	}
-	n := int(count)
-	return codeFile{
-		base:        int(base),
-		count:       n,
-		codes:       data[qcvHeaderSize : qcvHeaderSize+2*n],
-		sortedCodes: data[qcvHeaderSize+section : qcvHeaderSize+section+2*n],
-	}, nil
-}
-
 // datasetFile is the parsed structural view of a .ds file (the dataset
 // binary interchange format: magic "SUPGDS1\n", u64 count, scores,
 // LSB-first label bits).
@@ -218,15 +171,6 @@ func decodeFloat64s(b []byte) []float64 {
 	out := make([]float64, len(b)/8)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-// decodeUint16s is the portable (copying) alternative to aliasUint16s.
-func decodeUint16s(b []byte) []uint16 {
-	out := make([]uint16, len(b)/2)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint16(b[2*i:])
 	}
 	return out
 }
@@ -378,34 +322,6 @@ func writeSegmentFile(path string, sd index.SegmentData) (crc uint32, size int64
 	return aw.Commit()
 }
 
-// writeCodeFile persists one segment's 16-bit score-code vectors
-// (record order, then sorted order) as the .qcv sibling of its .seg
-// file.
-func writeCodeFile(path string, sd index.SegmentData) (crc uint32, size int64, err error) {
-	aw, err := newAtomicWriter(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	var hdr [qcvHeaderSize]byte
-	copy(hdr[:8], qcvMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], formatVersion)
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(sd.Base))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(sd.Codes)))
-	if _, err := aw.Write(hdr[:]); err != nil {
-		aw.Abort()
-		return 0, 0, err
-	}
-	if err := writeUint16s(aw, sd.Codes); err != nil {
-		aw.Abort()
-		return 0, 0, err
-	}
-	if err := writeUint16s(aw, sd.SortedCodes); err != nil {
-		aw.Abort()
-		return 0, 0, err
-	}
-	return aw.Commit()
-}
-
 // encodeChunk is the scratch granularity for bulk encoding (64 KiB).
 const encodeChunk = 1 << 13
 
@@ -420,32 +336,6 @@ func writeFloat64s(w io.Writer, vals []float64) error {
 			return err
 		}
 		vals = vals[n:]
-	}
-	return nil
-}
-
-// writeUint16s writes one code section: the values plus zero padding to
-// the next multiple of 8 (see codeSectionSize).
-func writeUint16s(w io.Writer, vals []uint16) error {
-	section := codeSectionSize(len(vals))
-	buf := make([]byte, min(section, 2*encodeChunk))
-	written := 0
-	for len(vals) > 0 {
-		n := min(len(vals), encodeChunk)
-		for i, v := range vals[:n] {
-			binary.LittleEndian.PutUint16(buf[2*i:], v)
-		}
-		if _, err := w.Write(buf[:2*n]); err != nil {
-			return err
-		}
-		written += 2 * n
-		vals = vals[n:]
-	}
-	if pad := section - written; pad > 0 {
-		var zero [8]byte
-		if _, err := w.Write(zero[:pad]); err != nil {
-			return err
-		}
 	}
 	return nil
 }

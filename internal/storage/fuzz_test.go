@@ -52,6 +52,12 @@ func FuzzManifestReplay(f *testing.F) {
 	corrupt := validManifest()
 	corrupt[9] ^= 0xFF // payload bit flip -> CRC mismatch
 	f.Add(corrupt)
+	// Legacy quantized-index record (recIndexQ): must keep replaying.
+	f.Add(frame(encodeLegacyIndexQ(indexRec{
+		table: "t", source: "p", fusion: "none", proxies: []string{"p"},
+		n: 10, colFile: "000002.col", colCRC: 8, colSize: 112,
+		segs: []segRec{{file: "000003.seg", base: 0, count: 10, crc: 9, size: 200}},
+	}, []legacyCodeEntry{{file: "000004.qcv", crc: 5, size: 80}})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, goodOff := replayManifest(data)
 		if goodOff < 0 || goodOff > int64(len(data)) {

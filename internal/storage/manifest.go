@@ -26,12 +26,14 @@ import (
 //	               fusion kind, calibration oracle)
 //	recDropTable — tombstone: the table and all its indexes are gone
 //	recDropIndex — tombstone for one (table, score source) index
-//	recIndexQ    — recIndex for a quantized index: each segment entry
-//	               additionally names its .qcv code-vector file with CRC
-//	               and size. A distinct type (not new recIndex fields)
-//	               keeps the recIndex encoding byte-identical, so
-//	               manifests written before quantization existed replay
-//	               unchanged.
+//	recIndexQ    — legacy recIndex of a since-removed quantized index:
+//	               each segment entry additionally names a .qcv
+//	               code-vector file with CRC and size. It is no longer
+//	               written. Replay decodes it as a plain recIndex and
+//	               drops the code fields, so the float segments are
+//	               recovered and the unreferenced .qcv files are swept
+//	               at boot; the next flush or compaction rewrites the
+//	               record as recIndex.
 //
 // Data files referenced by a record are fully written, fsynced, and
 // renamed into place BEFORE the record is appended, so a record in the
@@ -69,19 +71,13 @@ type datasetRec struct {
 	size    int64
 }
 
-// segRec describes one persisted segment file of an index, plus — on
-// quantized indexes only — its .qcv code-vector sibling (codeFile ==
-// "" otherwise).
+// segRec describes one persisted segment file of an index.
 type segRec struct {
 	file  string
 	base  int
 	count int
 	crc   uint32
 	size  int64
-
-	codeFile string
-	codeCRC  uint32
-	codeSize int64
 }
 
 // indexRec describes a persisted segmented index and its provenance.
@@ -96,7 +92,6 @@ type indexRec struct {
 	colCRC      uint32
 	colSize     int64
 	segs        []segRec
-	quantized   bool // segments carry .qcv code files (recIndexQ)
 }
 
 // ixKey identifies an index in the catalog.
@@ -127,7 +122,7 @@ func (st *manifestState) apply(rtype byte, rec any) {
 	switch rtype {
 	case recDataset:
 		st.tables[rec.(datasetRec).name] = rec.(datasetRec)
-	case recIndex, recIndexQ:
+	case recIndex:
 		ir := rec.(indexRec)
 		st.indexes[ixKey{ir.table, ir.source}] = ir
 	case recDropTable:
@@ -196,7 +191,6 @@ func decodeRecord(payload []byte) (byte, any, error) {
 			source:      d.str(),
 			fusion:      d.str(),
 			calibOracle: d.str(),
-			quantized:   rtype == recIndexQ,
 		}
 		rec.proxies = make([]string, d.count(maxManifestList))
 		for i := range rec.proxies {
@@ -219,13 +213,15 @@ func decodeRecord(payload []byte) (byte, any, error) {
 				crc:   uint32(d.uvarint()),
 				size:  int64(d.uvarint()),
 			}
-			if rec.quantized {
-				rec.segs[i].codeFile = d.str()
-				rec.segs[i].codeCRC = uint32(d.uvarint())
-				rec.segs[i].codeSize = int64(d.uvarint())
+			if rtype == recIndexQ {
+				// Legacy .qcv reference (file, crc, size): decoded for
+				// framing, then dropped.
+				d.str()
+				d.uvarint()
+				d.uvarint()
 			}
 		}
-		return rtype, rec, d.finish("index")
+		return recIndex, rec, d.finish("index")
 	case recDropTable:
 		name := d.str()
 		return rtype, name, d.finish("drop-table")
@@ -248,11 +244,7 @@ func encodeDataset(rec datasetRec) []byte {
 }
 
 func encodeIndex(rec indexRec) []byte {
-	rtype := recIndex
-	if rec.quantized {
-		rtype = recIndexQ
-	}
-	b := []byte{rtype}
+	b := []byte{recIndex}
 	b = appendString(b, rec.table)
 	b = appendString(b, rec.source)
 	b = appendString(b, rec.fusion)
@@ -272,11 +264,6 @@ func encodeIndex(rec indexRec) []byte {
 		b = binary.AppendUvarint(b, uint64(s.count))
 		b = binary.AppendUvarint(b, uint64(s.crc))
 		b = binary.AppendUvarint(b, uint64(s.size))
-		if rec.quantized {
-			b = appendString(b, s.codeFile)
-			b = binary.AppendUvarint(b, uint64(s.codeCRC))
-			b = binary.AppendUvarint(b, uint64(s.codeSize))
-		}
 	}
 	return b
 }

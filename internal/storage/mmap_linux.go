@@ -78,16 +78,6 @@ func aliasFloat64s(b []byte) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8)
 }
 
-// aliasUint16s reinterprets little-endian uint16 bytes as a uint16
-// slice without copying. Sections sit at even in-file offsets, which is
-// all a 2-byte load requires.
-func aliasUint16s(b []byte) []uint16 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint16)(unsafe.Pointer(&b[0])), len(b)/2)
-}
-
 // aliasInts reinterprets little-endian uint64 bytes as an int slice
 // (int is 64-bit on the gated platforms). Values with the high bit set
 // surface as negative ints and are rejected by the bounds checks every

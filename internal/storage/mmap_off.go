@@ -20,5 +20,3 @@ func madviseBytes(b []byte, advice int) error { return nil }
 func aliasFloat64s(b []byte) []float64 { panic("storage: aliasFloat64s without mmap support") }
 
 func aliasInts(b []byte) []int { panic("storage: aliasInts without mmap support") }
-
-func aliasUint16s(b []byte) []uint16 { panic("storage: aliasUint16s without mmap support") }

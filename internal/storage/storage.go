@@ -363,33 +363,6 @@ func (s *Store) loadIndex(rec indexRec, tableRecords int) (*index.ScoreIndex, er
 		} else {
 			segs[i] = index.SegmentData{Base: sf.base, Perm: decodeInts(sf.perm), Sorted: decodeFloat64s(sf.sorted)}
 		}
-		if sr.codeFile == "" {
-			continue
-		}
-		// Quantized index: map the segment's .qcv sibling too. The codes
-		// are structurally validated here and semantically verified
-		// against the mmap'd float column inside FromExternal's O(n)
-		// pass, exactly like the permutation.
-		cdata, cmapped, err := s.loadVerified(sr.codeFile, sr.codeSize, sr.codeCRC)
-		if err != nil {
-			return nil, fmt.Errorf("codes %s: %w", sr.codeFile, err)
-		}
-		qf, err := parseCodeFile(cdata)
-		if err != nil {
-			return nil, fmt.Errorf("codes %s: %w", sr.codeFile, err)
-		}
-		if qf.base != sr.base || qf.count != sr.count {
-			return nil, fmt.Errorf("codes %s header (%d,%d) disagrees with manifest (%d,%d)",
-				sr.codeFile, qf.base, qf.count, sr.base, sr.count)
-		}
-		if cmapped {
-			segs[i].Codes = aliasUint16s(qf.codes)
-			segs[i].SortedCodes = aliasUint16s(qf.sortedCodes)
-			backing = append(backing, cdata)
-		} else {
-			segs[i].Codes = decodeUint16s(qf.codes)
-			segs[i].SortedCodes = decodeUint16s(qf.sortedCodes)
-		}
 	}
 	return index.FromExternal(index.External{Column: column, Segments: segs, Backing: backing}, s.opts.Index)
 }
@@ -469,9 +442,6 @@ func (s *Store) sweepOrphans() {
 		referenced[rec.colFile] = true
 		for _, sr := range rec.segs {
 			referenced[sr.file] = true
-			if sr.codeFile != "" {
-				referenced[sr.codeFile] = true
-			}
 		}
 	}
 	entries, err := os.ReadDir(s.dir)
@@ -483,6 +453,7 @@ func (s *Store) sweepOrphans() {
 		if referenced[name] {
 			continue
 		}
+		// .qcv: legacy quantized-index code files, never referenced.
 		switch filepath.Ext(name) {
 		case ".ds", ".col", ".seg", ".qcv":
 			os.Remove(filepath.Join(s.dir, name))
@@ -622,41 +593,16 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 			reuse[[2]int{sr.base, sr.count}] = sr
 		}
 	}
-	quantized := ix.Quantized()
-	type pending struct {
-		file     string // .seg to write, "" when only codes are missing
-		codeFile string // .qcv to write, "" when unquantized or reused
-		view     index.SegmentData
-	}
 	segs := make([]segRec, ix.Segments())
-	var writes []pending
-	for i := 0; i < ix.Segments(); i++ {
+	var writes []int // positions in segs whose files must be written
+	for i := range segs {
 		sd := ix.SegmentView(i)
 		if sr, ok := reuse[[2]int{sd.Base, len(sd.Perm)}]; ok {
-			// The immutable .seg file is reusable; the .qcv sibling is
-			// reusable only if the previous flush's quantization matches.
-			// Quantize turned on since: write just the missing code file.
-			// Turned off: drop the reference (the superseded-file sweep
-			// below deletes the .qcv once the new record commits).
-			switch {
-			case quantized && sr.codeFile == "":
-				sr.codeFile = s.nextFileLocked(".qcv")
-				sr.codeCRC, sr.codeSize = 0, 0
-				writes = append(writes, pending{codeFile: sr.codeFile, view: sd})
-			case !quantized && sr.codeFile != "":
-				sr.codeFile, sr.codeCRC, sr.codeSize = "", 0, 0
-			}
 			segs[i] = sr
 			continue
 		}
-		file := s.nextFileLocked(".seg")
-		segs[i] = segRec{file: file, base: sd.Base, count: len(sd.Perm)}
-		p := pending{file: file, view: sd}
-		if quantized {
-			segs[i].codeFile = s.nextFileLocked(".qcv")
-			p.codeFile = segs[i].codeFile
-		}
-		writes = append(writes, p)
+		segs[i] = segRec{file: s.nextFileLocked(".seg"), base: sd.Base, count: len(sd.Perm)}
+		writes = append(writes, i)
 	}
 	colFile := old.colFile
 	colCRC, colSize := old.colCRC, old.colSize
@@ -683,33 +629,14 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 		colCRC, colSize = crc, size
 		written = append(written, colFile)
 	}
-	for _, p := range writes {
-		if p.file != "" {
-			crc, size, err := writeSegmentFile(filepath.Join(s.dir, p.file), p.view)
-			if err != nil {
-				abort()
-				return fmt.Errorf("storage: persist segment for %s/%s: %w", meta.Table, meta.Source, err)
-			}
-			written = append(written, p.file)
-			for i := range segs {
-				if segs[i].file == p.file {
-					segs[i].crc, segs[i].size = crc, size
-				}
-			}
+	for _, i := range writes {
+		crc, size, err := writeSegmentFile(filepath.Join(s.dir, segs[i].file), ix.SegmentView(i))
+		if err != nil {
+			abort()
+			return fmt.Errorf("storage: persist segment for %s/%s: %w", meta.Table, meta.Source, err)
 		}
-		if p.codeFile != "" {
-			crc, size, err := writeCodeFile(filepath.Join(s.dir, p.codeFile), p.view)
-			if err != nil {
-				abort()
-				return fmt.Errorf("storage: persist segment codes for %s/%s: %w", meta.Table, meta.Source, err)
-			}
-			written = append(written, p.codeFile)
-			for i := range segs {
-				if segs[i].codeFile == p.codeFile {
-					segs[i].codeCRC, segs[i].codeSize = crc, size
-				}
-			}
-		}
+		written = append(written, segs[i].file)
+		segs[i].crc, segs[i].size = crc, size
 	}
 
 	s.mu.Lock()
@@ -732,7 +659,6 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 		colCRC:      colCRC,
 		colSize:     colSize,
 		segs:        segs,
-		quantized:   quantized,
 	}
 	before := s.man.frames
 	if err := s.man.appendRecord(encodeIndex(rec)); err != nil {
@@ -745,13 +671,10 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 	cur, hadCur := s.st.indexes[key]
 	s.st.apply(recIndex, rec)
 	if hadCur {
-		keep := make(map[string]bool, 2*len(segs)+1)
+		keep := make(map[string]bool, len(segs)+1)
 		keep[colFile] = true
 		for _, sr := range segs {
 			keep[sr.file] = true
-			if sr.codeFile != "" {
-				keep[sr.codeFile] = true
-			}
 		}
 		if !keep[cur.colFile] {
 			os.Remove(filepath.Join(s.dir, cur.colFile))
@@ -760,19 +683,9 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 			if !keep[sr.file] {
 				os.Remove(filepath.Join(s.dir, sr.file))
 			}
-			if sr.codeFile != "" && !keep[sr.codeFile] {
-				os.Remove(filepath.Join(s.dir, sr.codeFile))
-			}
 		}
 	}
-	// Count .seg files only: a code-only write (quantize turned on over
-	// reused segments) persists no segment.
-	var segWrites int64
-	for _, p := range writes {
-		if p.file != "" {
-			segWrites++
-		}
-	}
+	segWrites := int64(len(writes))
 	s.segmentsPersisted += segWrites
 	s.counters.StorageSegmentsPersisted(segWrites)
 	s.maybeCompactLocked(before)
@@ -814,9 +727,6 @@ func (s *Store) DropTable(name string) error {
 		os.Remove(filepath.Join(s.dir, rec.colFile))
 		for _, sr := range rec.segs {
 			os.Remove(filepath.Join(s.dir, sr.file))
-			if sr.codeFile != "" {
-				os.Remove(filepath.Join(s.dir, sr.codeFile))
-			}
 		}
 	}
 	s.st.apply(recDropTable, name)
@@ -848,9 +758,6 @@ func (s *Store) DropIndex(table, source string) error {
 	os.Remove(filepath.Join(s.dir, rec.colFile))
 	for _, sr := range rec.segs {
 		os.Remove(filepath.Join(s.dir, sr.file))
-		if sr.codeFile != "" {
-			os.Remove(filepath.Join(s.dir, sr.codeFile))
-		}
 	}
 	s.st.apply(recDropIndex, key)
 	s.maybeCompactLocked(before)

@@ -61,18 +61,21 @@ cover-check: cover
 		{ echo "coverage $$total% fell below the $(COVER_FLOOR)% baseline"; exit 1; }
 
 # Short native-fuzzing runs of the dataset parsers, the query parser,
-# and the durable-storage on-disk parsers (CI smoke; use go test -fuzz
-# directly for long local sessions). FuzzParse checks parse -> String
-# -> re-parse equality, so the SQL grammar (REUSE FREE, FUSE,
-# CALIBRATE) stays round-trip clean. The storage targets feed the
-# manifest replayer and the column/segment/dataset file parsers
-# arbitrary bytes: any input must yield a clean error or a view that
-# agrees with its declared counts — never a panic, never an
+# the shared framed-log reader, and the durable-storage on-disk parsers
+# (CI smoke; use go test -fuzz directly for long local sessions).
+# FuzzParse checks parse -> String -> re-parse equality, so the SQL
+# grammar (REUSE FREE, FUSE, CALIBRATE) stays round-trip clean.
+# FuzzLogReplay feeds the frame reader behind the label WAL and the
+# MANIFEST arbitrary bytes under both CRC formats. The storage targets
+# feed the manifest replayer and the column/segment/dataset file
+# parsers arbitrary bytes: any input must yield a clean error or a view
+# that agrees with its declared counts — never a panic, never an
 # out-of-bounds replay.
 fuzz-smoke:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzLoadCSV$$' -fuzztime 10s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzLoadBinary$$' -fuzztime 10s
 	$(GO) test ./internal/query -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
+	$(GO) test ./internal/durable -run '^$$' -fuzz '^FuzzLogReplay$$' -fuzztime 10s
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzManifestReplay$$' -fuzztime 10s
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzColumnFile$$' -fuzztime 10s
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzSegmentFile$$' -fuzztime 10s

@@ -12,8 +12,7 @@
 // proxy re-scans, byte-identical results); the label WAL defaults to
 // labels.wal inside that directory, so a bare -persist-dir makes the
 // whole server state durable. The boot banner reports what was
-// recovered, and -persist-madvise hints residency for the mapped
-// files.
+// recovered.
 //
 // API:
 //
@@ -95,7 +94,6 @@ func main() {
 		grace       = flag.Duration("shutdown-grace", 30*time.Second, "drain window for in-flight jobs on shutdown")
 		variants    = flag.Bool("preload-proxy-variants", false, "register <preload>_proxy_soft (sqrt) and <preload>_proxy_sharp (squared) proxy variants so FUSE queries are demoable out of the box")
 		persistDir  = flag.String("persist-dir", "", "durable storage directory: datasets and built score indexes are flushed here and recovered on restart (mmap'd, zero proxy re-scans, byte-identical results); also the default home of the label WAL")
-		persistAdv  = flag.String("persist-madvise", "", "residency hint for mmap'd persisted files: normal|random|sequential|willneed (empty = none)")
 	)
 	flag.Parse()
 
@@ -122,7 +120,6 @@ func main() {
 		BreakerThreshold:      *brkThresh,
 		BreakerCooldown:       *brkCooldown,
 		PersistDir:            *persistDir,
-		PersistMadvise:        *persistAdv,
 	})
 	if err != nil {
 		log.Fatalf("supg-server: %v", err)

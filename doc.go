@@ -218,7 +218,8 @@
 // The label store optionally journals every bought label to a
 // CRC-framed, fsync'd write-ahead log (-label-wal) and replays it on
 // boot, truncating any torn tail — a restarted server re-buys zero
-// labels. Invalidations append tombstones, and a compaction pass
+// labels. The log is internal/durable's framed log, shared with the
+// storage manifest. Invalidations append tombstones, and a compaction pass
 // (automatic on boot when the log is mostly dead) rewrites live
 // labels into a fresh log via atomic rename. See README.md ("Fault
 // tolerance & durability") for the frame format and the recovery
@@ -232,8 +233,9 @@
 // threw all of it away. internal/storage persists both — dataset
 // columns and the per-segment immutable (score, id) permutations of
 // every built index — as write-once files committed through a
-// CRC-framed manifest log with the same torn-tail-truncation and
-// compaction discipline as the label WAL. An engine opened with a
+// CRC-framed manifest log that runs on the same internal/durable code
+// as the label WAL (framing, torn-tail truncation, atomic rewrite;
+// the manifest checksums with CRC32 Castagnoli, the WAL with IEEE). An engine opened with a
 // persist directory (engine.Options.PersistDir, supg-server
 // -persist-dir) flushes each index after build or append and, on
 // boot, mmaps everything back: recovery re-sorts zero permutations
@@ -243,7 +245,7 @@
 // answer byte-identical to the pre-crash one. Corrupt or torn files
 // are never served: the affected index degrades to a clean rebuild
 // (durably tombstoned, reported in RecoveryInfo and /v1/stats), and a
-// torn manifest tail is truncated exactly like the WAL's. See
+// torn manifest tail is truncated by the same code as the WAL's. See
 // README.md ("Durable storage") for the file formats, the
 // invalidation rules, and the recovery procedure.
 //

@@ -198,12 +198,6 @@ type Options struct {
 	// queries byte-identically to the pre-restart process. See
 	// internal/storage.
 	PersistDir string
-	// PersistNoMmap forces heap loads with portable decoding even on
-	// platforms that support zero-copy mapping.
-	PersistNoMmap bool
-	// PersistMadvise optionally hints mapped-file residency: "",
-	// "normal", "random", "sequential", or "willneed".
-	PersistMadvise string
 }
 
 // resilienceEnabled reports whether queries should stack the Resilient
@@ -917,20 +911,7 @@ func (e *Engine) ExecutePlanContext(ctx context.Context, plan *query.Plan, opts 
 // and the query text — a pure function, so a replayed query backs off
 // on an identical schedule regardless of interleaving.
 func (e *Engine) buildOracle(ctx context.Context, plan *query.Plan, fn OracleUDF, opts ExecOptions, progress *progressCounter) oracle.Oracle {
-	var orc oracle.Oracle = oracle.Func(fn)
-	if e.opts.resilienceEnabled() {
-		counters := opts.Counters
-		if counters == nil {
-			counters = e.counters.Load()
-		}
-		orc = oracle.NewResilient(orc, oracle.ResilientOptions{
-			Timeout:     e.opts.OracleTimeout,
-			Retries:     e.opts.OracleRetries,
-			BaseBackoff: e.opts.OracleBackoff,
-			Seed:        e.seed ^ hashString("resilient:"+plan.SourceText),
-			Clock:       e.opts.Clock,
-		}).WithBreaker(e.breakerFor(plan.OracleUDF)).WithContext(ctx).WithCounters(counters)
-	}
+	orc := e.resilient(ctx, fn, plan.OracleUDF, e.seed^hashString("resilient:"+plan.SourceText), opts.Counters)
 	if opts.Progress != nil {
 		orc = &countingOracle{inner: orc, progress: progress}
 	}
@@ -938,6 +919,26 @@ func (e *Engine) buildOracle(ctx context.Context, plan *query.Plan, fn OracleUDF
 		orc = oracle.NewDispatcher(orc, opts.OracleParallelism).WithCounters(opts.Counters)
 	}
 	return orc
+}
+
+// resilient wraps the named oracle UDF in the resilience layer when it
+// is configured: per-attempt timeouts, retries with backoff jitter from
+// seed, and the oracle's shared circuit breaker. counters defaults to
+// the engine's.
+func (e *Engine) resilient(ctx context.Context, fn OracleUDF, name string, seed uint64, counters *metrics.Counters) oracle.Oracle {
+	if !e.opts.resilienceEnabled() {
+		return oracle.Func(fn)
+	}
+	if counters == nil {
+		counters = e.counters.Load()
+	}
+	return oracle.NewResilient(oracle.Func(fn), oracle.ResilientOptions{
+		Timeout:     e.opts.OracleTimeout,
+		Retries:     e.opts.OracleRetries,
+		BaseBackoff: e.opts.OracleBackoff,
+		Seed:        seed,
+		Clock:       e.opts.Clock,
+	}).WithBreaker(e.breakerFor(name)).WithContext(ctx).WithCounters(counters)
 }
 
 // progressCounter accumulates budget-consuming oracle calls from both
@@ -989,10 +990,12 @@ func (c *countingOracle) Label(i int) (bool, error) {
 // either deletes the slot before publication (the build sees the new
 // state) or after (the slot is gone and the next query snapshots
 // afresh) — a cached index can never outlive the registrations it was
-// built from. A build error is cached with the entry — the proxies are
-// deterministic by contract and calibration randomness is derived from
-// the engine seed plus the source identity, so retrying cannot succeed
-// until a member registration changes (which drops the entry).
+// built from. A permanent build error (oracle.Classify) is cached with
+// the entry: proxies are deterministic by contract, so retrying cannot
+// succeed until a member registration changes (which drops the entry).
+// Any other error — a calibration oracle fault that outlived its
+// retries — drops the entry instead, so the next query rebuilds; the
+// label store still holds every calibration label already bought.
 func (e *Engine) tableIndex(plan *query.Plan) (*indexEntry, bool, error) {
 	key := indexKey{table: plan.Table, source: plan.Source.CacheKey(plan.OracleUDF)}
 	e.mu.RLock()
@@ -1014,6 +1017,13 @@ func (e *Engine) tableIndex(plan *query.Plan) (*indexEntry, bool, error) {
 	}
 	built := entry.ensure()
 	if entry.err != nil {
+		if oracle.Classify(entry.err) != oracle.ClassPermanent {
+			e.mu.Lock()
+			if e.indexes[key] == entry {
+				delete(e.indexes, key)
+			}
+			e.mu.Unlock()
+		}
 		return nil, built, entry.err
 	}
 	if built {
@@ -1068,7 +1078,7 @@ func (e *Engine) newIndexEntryLocked(key indexKey, plan *query.Plan) (*indexEntr
 			scores := scoreRange(proxyFn, 0, table.Len())
 			ix, err := index.NewWithOptions(scores, opts)
 			if err != nil {
-				return built{proxyCalls: table.Len()}, fmt.Errorf("engine: proxy %q: %w", proxyName, err)
+				return built{proxyCalls: table.Len()}, oracle.Permanent(fmt.Errorf("engine: proxy %q: %w", proxyName, err))
 			}
 			return built{ix: ix, proxyCalls: table.Len()}, nil
 		}
@@ -1082,10 +1092,12 @@ func (e *Engine) newIndexEntryLocked(key indexKey, plan *query.Plan) (*indexEntr
 	// Calibrated fusions label their calibration sample through a
 	// dedicated budgeted oracle backed by the cross-query label store:
 	// the first build pays real oracle calls, and any rebuild of the
-	// same source (after a proxy re-registration or an append) is served
-	// warm. The calibration random stream derives from the engine seed
-	// and the source identity — never from the query text — so every
-	// query of the source shares one fused column.
+	// same source (after a proxy re-registration, an append, or a failed
+	// calibration) is served warm. The calibration oracle carries the
+	// same resilience layer and breaker as query oracles. Its random
+	// streams derive from the engine seed and the source identity —
+	// never from the query text — so every query of the source shares
+	// one fused column.
 	var (
 		oracleFn   OracleUDF
 		labelCache *labelstore.Cache
@@ -1102,7 +1114,7 @@ func (e *Engine) newIndexEntryLocked(key indexKey, plan *query.Plan) (*indexEntr
 			labelCache = e.labels.Cache(plan.Table, plan.OracleUDF)
 		}
 	}
-	sourceID := key.source
+	sourceID, oracleName := key.source, plan.OracleUDF
 	entry.build = func() (built, error) {
 		n := table.Len()
 		cols := make([][]float64, len(fns))
@@ -1112,7 +1124,10 @@ func (e *Engine) newIndexEntryLocked(key indexKey, plan *query.Plan) (*indexEntr
 		b := built{proxyCalls: len(fns) * n}
 		var budgeted *oracle.Budgeted
 		if fuser.NeedsOracle() {
-			budgeted = oracle.NewBudgeted(oracle.Func(oracleFn), fuser.CalibrationBudget)
+			// The build is shared by every query of the source, so no
+			// single query's context may cancel its calibration.
+			calib := e.resilient(context.Background(), oracleFn, oracleName, seed^hashString("resilient:calibrate:"+sourceID), nil)
+			budgeted = oracle.NewBudgeted(calib, fuser.CalibrationBudget)
 			if labelCache != nil {
 				// Guard before the interface conversion: a typed-nil
 				// *labelstore.Cache would defeat WithStore's nil check and
@@ -1129,7 +1144,7 @@ func (e *Engine) newIndexEntryLocked(key indexKey, plan *query.Plan) (*indexEntr
 		b.calibHits = fused.CalibrationStoreHits
 		ix, err := index.NewWithOptions(fused.Scores, opts)
 		if err != nil {
-			return b, fmt.Errorf("engine: source %q: %w", sourceID, err)
+			return b, oracle.Permanent(fmt.Errorf("engine: source %q: %w", sourceID, err))
 		}
 		b.ix = ix
 		return b, nil

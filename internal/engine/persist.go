@@ -79,12 +79,7 @@ func (e *Engine) openStorage(opts Options) error {
 	if opts.PersistDir == "" {
 		return nil
 	}
-	store, err := storage.Open(storage.Options{
-		Dir:     opts.PersistDir,
-		NoMmap:  opts.PersistNoMmap,
-		Madvise: opts.PersistMadvise,
-		Index:   e.ixOpts,
-	})
+	store, err := storage.Open(storage.Options{Dir: opts.PersistDir, Index: e.ixOpts})
 	if err != nil {
 		return err
 	}
@@ -263,8 +258,7 @@ type RecoveryInfo struct {
 	Indexes  int
 	Segments int
 	// MappedBytes is the total size of persisted files currently
-	// mmap'd into the process (0 on heap-load platforms or with
-	// PersistNoMmap).
+	// mmap'd into the process (0 on heap-load platforms).
 	MappedBytes int64
 	// Elapsed is the wall-clock recovery duration.
 	Elapsed time.Duration

@@ -19,6 +19,10 @@
 // invalidated (never silently reused) when a table or oracle UDF is
 // re-registered. Appends extend a table without changing existing
 // record ids or labels, so append leaves the store intact by design.
+//
+// With Options.WALPath set, every bought label is journaled to a
+// write-ahead log (wal.go) built on internal/durable's framed log, the
+// same crash-safe log the storage manifest uses.
 package labelstore
 
 import (
@@ -146,7 +150,7 @@ func Open(opts Options) (*Store, error) {
 		// (tombstoned labels, duplicates), so it cannot grow without
 		// bound across restarts.
 		live := s.entries.Load() + int64(len(s.caches))
-		if w.records > walCompactMinRecords && w.records > 2*live {
+		if frames := w.log.Frames(); frames > walCompactMinRecords && frames > 2*live {
 			w.mu.Lock()
 			err := w.compactLocked()
 			w.mu.Unlock()

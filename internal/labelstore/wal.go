@@ -1,13 +1,11 @@
 package labelstore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 	"sync"
+
+	"supg/internal/durable"
 )
 
 // The write-ahead log makes paid oracle labels crash-durable: every
@@ -16,11 +14,9 @@ import (
 // in-memory shards on boot — a restarted server recovers every label
 // it ever bought with zero oracle re-buys.
 //
-// Format: a sequence of CRC-framed records. Each frame is
-//
-//	[4-byte LE payload length][4-byte LE CRC32(payload)][payload]
-//
-// and the payload starts with a one-byte record type:
+// The file is a durable.Log (framing, torn-tail truncation, atomic
+// rewrite) with walFormat's IEEE CRC and 1 MiB frame bound. Each frame
+// payload starts with a one-byte record type:
 //
 //	recCacheDef   assigns a numeric id to a (table, oracle) pair;
 //	              labels reference the id instead of repeating strings
@@ -31,9 +27,8 @@ import (
 //
 // Replay applies records in order: tombstones kill the caches (and
 // ids) defined before them, so labels bought against a superseded
-// registration can never resurrect. A torn or corrupt tail — the
-// expected shape of a crash mid-append — is truncated at the last
-// whole frame and replay keeps everything before it.
+// registration can never resurrect. A structurally invalid record ends
+// replay like a torn frame does.
 const (
 	recCacheDef   byte = 1
 	recLabel      byte = 2
@@ -41,10 +36,10 @@ const (
 	recTombOracle byte = 4
 )
 
-// walMaxFrame bounds a frame payload; anything larger is treated as
-// corruption (the largest legitimate payload is a cache-def with two
-// names).
-const walMaxFrame = 1 << 20
+// walFormat is the WAL's framing. The frame bound treats anything
+// larger as corruption (the largest legitimate payload is a cache-def
+// with two names).
+var walFormat = durable.Format{CRC: durable.IEEE, MaxFrame: 1 << 20}
 
 // walCompactMinRecords is the auto-compaction floor: Open rewrites the
 // log only when it holds more than this many frames and more than half
@@ -54,98 +49,34 @@ const walCompactMinRecords = 1024
 // wal is the append side of the write-ahead log. All appends are
 // serialized under mu; the store's in-memory insert happens first, so
 // the log is an ordered journal of every label the memory tier
-// accepted. Append failures are fail-stop: the first error disables
-// further appends and surfaces from Close.
+// accepted. Append failures are fail-stop (see durable.Log): the first
+// error disables further appends and surfaces from Close.
 type wal struct {
 	store *Store
 
-	mu        sync.Mutex
-	path      string
-	f         *os.File
-	w         *bufio.Writer
-	syncEvery int
-	unsynced  int
-	records   int64
-	ids       map[*Cache]uint64
-	nextID    uint64
-	err       error
-	closed    bool
+	mu     sync.Mutex
+	log    *durable.Log
+	ids    map[*Cache]uint64
+	nextID uint64
+	buf    []byte // record scratch, reused under mu
 }
 
 // openWAL opens (creating if absent) the log at path, replays it into
 // s, truncates any torn tail, and returns the append handle plus the
 // number of labels replayed.
 func openWAL(s *Store, path string, syncEvery int) (*wal, int64, error) {
-	if syncEvery <= 0 {
-		syncEvery = 1
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644) //supg:atomiccommit-ok the WAL is the commit path: frames are CRC-framed and fsynced per sync policy, torn tails are truncated on replay
+	w := &wal{store: s, ids: make(map[*Cache]uint64), nextID: 1}
+	var (
+		replayed int64
+		liveID   = make(map[uint64]*Cache)
+	)
+	log, err := durable.Open(path, walFormat, syncEvery, func(payload []byte) bool {
+		return w.apply(payload, liveID, &replayed)
+	})
 	if err != nil {
 		return nil, 0, fmt.Errorf("labelstore: open wal: %w", err)
 	}
-	w := &wal{
-		store:     s,
-		path:      path,
-		f:         f,
-		syncEvery: syncEvery,
-		ids:       make(map[*Cache]uint64),
-		nextID:    1,
-	}
-	replayed, goodOff, err := w.replay()
-	if err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	// A torn tail is the normal post-crash state: drop it and append
-	// from the last whole frame.
-	if fi, err := f.Stat(); err == nil && fi.Size() > goodOff {
-		if err := f.Truncate(goodOff); err != nil {
-			f.Close()
-			return nil, 0, fmt.Errorf("labelstore: truncate torn wal tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, 0, fmt.Errorf("labelstore: seek wal: %w", err)
-	}
-	w.w = bufio.NewWriter(f)
-	return w, replayed, nil
-}
-
-// replay reads every whole frame from the start of the file, applies
-// it to the store (bypassing logging), and returns the number of label
-// records applied plus the offset just past the last good frame.
-func (w *wal) replay() (replayed int64, goodOff int64, err error) {
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, fmt.Errorf("labelstore: seek wal: %w", err)
-	}
-	var (
-		r      = bufio.NewReader(w.f)
-		hdr    [8]byte
-		liveID = make(map[uint64]*Cache)
-		defs   = make(map[uint64]Key)
-	)
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			break // EOF or torn header
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		if n == 0 || n > walMaxFrame {
-			break // corrupt length
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			break // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			break // corrupt payload
-		}
-		if !w.apply(payload, liveID, defs, &replayed) {
-			break // structurally invalid record
-		}
-		goodOff += 8 + int64(n)
-		w.records++
-	}
+	w.log = log
 	// Adopt the surviving id assignments for the append side, so new
 	// labels of an already-defined cache need no fresh def record.
 	for id, c := range liveID {
@@ -156,38 +87,25 @@ func (w *wal) replay() (replayed int64, goodOff int64, err error) {
 			w.nextID = id + 1
 		}
 	}
-	return replayed, goodOff, nil
+	return w, replayed, nil
 }
 
 // apply folds one replayed record into the store. Reports whether the
 // record was structurally valid.
-func (w *wal) apply(payload []byte, liveID map[uint64]*Cache, defs map[uint64]Key, replayed *int64) bool {
+func (w *wal) apply(payload []byte, liveID map[uint64]*Cache, replayed *int64) bool {
 	s := w.store
+	d := durable.NewDecoder(payload[1:])
 	switch payload[0] {
 	case recCacheDef:
-		rest := payload[1:]
-		id, rest, ok := readUvarint(rest)
-		if !ok {
+		id, table, oracle := d.Uvarint(), d.Str(), d.Str()
+		if d.Finish("cache-def") != nil {
 			return false
 		}
-		table, rest, ok := readString(rest)
-		if !ok {
-			return false
-		}
-		oracle, _, ok := readString(rest)
-		if !ok {
-			return false
-		}
-		defs[id] = Key{Table: table, Oracle: oracle}
 		liveID[id] = s.Cache(table, oracle)
 	case recLabel:
-		rest := payload[1:]
-		id, rest, ok := readUvarint(rest)
-		if !ok {
-			return false
-		}
-		idx, rest, ok := readUvarint(rest)
-		if !ok || len(rest) != 1 {
+		// The label is one byte, 0 or 1: a one-byte uvarint.
+		id, idx, v := d.Uvarint(), d.Uvarint(), d.Uvarint()
+		if d.Finish("label") != nil {
 			return false
 		}
 		if c := liveID[id]; c != nil {
@@ -195,22 +113,20 @@ func (w *wal) apply(payload []byte, liveID map[uint64]*Cache, defs map[uint64]Ke
 			// dropped by put's dead check — exactly the in-memory
 			// semantics of a stale write. Duplicates (possible after a
 			// compaction raced an insert) are dropped the same way.
-			if c.put(int(idx), rest[0] != 0, false) {
+			if c.put(int(idx), v != 0, false) {
 				*replayed++
 			}
 		}
-	case recTombTable:
-		name, _, ok := readString(payload[1:])
-		if !ok {
+	case recTombTable, recTombOracle:
+		name := d.Str()
+		if d.Finish("tombstone") != nil {
 			return false
 		}
-		s.invalidateMatch(func(k Key) bool { return k.Table == name }, false)
-	case recTombOracle:
-		name, _, ok := readString(payload[1:])
-		if !ok {
-			return false
+		if payload[0] == recTombTable {
+			s.invalidateMatch(func(k Key) bool { return k.Table == name }, false)
+		} else {
+			s.invalidateMatch(func(k Key) bool { return k.Oracle == name }, false)
 		}
-		s.invalidateMatch(func(k Key) bool { return k.Oracle == name }, false)
 	default:
 		return false
 	}
@@ -225,9 +141,6 @@ func (w *wal) appendLabel(c *Cache, i int, v bool) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err != nil || w.closed {
-		return
-	}
 	// An insert that raced an invalidation may reach here after the
 	// tombstone was journaled (kill sets dead before the tombstone
 	// append). Logging it would resurrect the label under a fresh def on
@@ -241,28 +154,11 @@ func (w *wal) appendLabel(c *Cache, i int, v bool) {
 		id = w.nextID
 		w.nextID++
 		w.ids[c] = id
-		var def []byte
-		def = append(def, recCacheDef)
-		def = binary.AppendUvarint(def, id)
-		def = appendString(def, c.key.Table)
-		def = appendString(def, c.key.Oracle)
-		if err := w.appendFrameLocked(def); err != nil {
-			w.err = err
+		if !w.appendLocked(appendCacheDef(w.buf[:0], id, c.key)) {
 			return
 		}
 	}
-	var rec []byte
-	rec = append(rec, recLabel)
-	rec = binary.AppendUvarint(rec, id)
-	rec = binary.AppendUvarint(rec, uint64(i))
-	if v {
-		rec = append(rec, 1)
-	} else {
-		rec = append(rec, 0)
-	}
-	if err := w.appendFrameLocked(rec); err != nil {
-		w.err = err
-	}
+	w.appendLocked(appendLabelRec(w.buf[:0], id, i, v))
 }
 
 // appendTombstone journals an invalidation (kind is recTombTable or
@@ -280,58 +176,44 @@ func (w *wal) appendTombstone(kind byte, name string) {
 			delete(w.ids, c)
 		}
 	}
-	if w.err != nil || w.closed {
-		return
-	}
-	var rec []byte
-	rec = append(rec, kind)
-	rec = appendString(rec, name)
-	if err := w.appendFrameLocked(rec); err != nil {
-		w.err = err
-	}
+	w.appendLocked(durable.AppendString(append(w.buf[:0], kind), name))
 }
 
-// appendFrameLocked writes one CRC-framed record and applies the sync
-// policy. Callers hold w.mu.
-func (w *wal) appendFrameLocked(payload []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("labelstore: wal append: %w", err)
+// appendLocked appends one record, keeping rec as the next scratch
+// buffer, and counts it. Reports success; a write failure is sticky in
+// the log and surfaces from close, and appends after close are
+// dropped. Callers hold w.mu.
+func (w *wal) appendLocked(rec []byte) bool {
+	w.buf = rec
+	if w.log.Append(rec) != nil {
+		return false
 	}
-	if _, err := w.w.Write(payload); err != nil {
-		return fmt.Errorf("labelstore: wal append: %w", err)
-	}
-	w.records++
-	w.unsynced++
 	w.store.counters.Load().WALRecords(1)
-	if w.unsynced >= w.syncEvery {
-		if err := w.w.Flush(); err != nil {
-			return fmt.Errorf("labelstore: wal flush: %w", err)
-		}
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("labelstore: wal sync: %w", err)
-		}
-		w.unsynced = 0
+	return true
+}
+
+func appendCacheDef(b []byte, id uint64, k Key) []byte {
+	b = binary.AppendUvarint(append(b, recCacheDef), id)
+	b = durable.AppendString(b, k.Table)
+	return durable.AppendString(b, k.Oracle)
+}
+
+func appendLabelRec(b []byte, id uint64, i int, v bool) []byte {
+	b = binary.AppendUvarint(append(b, recLabel), id)
+	b = binary.AppendUvarint(b, uint64(i))
+	if v {
+		return append(b, 1)
 	}
-	return nil
+	return append(b, 0)
 }
 
 // compactLocked rewrites the log to hold only the live labels: a fresh
-// def per live cache plus its current entries, written to a temp file
-// that atomically replaces the old log. Callers hold w.mu (appends are
-// blocked for the duration; in-memory reads and writes are not — a
-// label inserted mid-compaction is either snapshotted into the new
-// file or journaled right after it, possibly both, and replay is
-// idempotent).
+// def per live cache plus its current entries (see durable.Log.Rewrite).
+// Callers hold w.mu (appends are blocked for the duration; in-memory
+// reads and writes are not — a label inserted mid-compaction is either
+// snapshotted into the new file or journaled right after it, possibly
+// both, and replay is idempotent).
 func (w *wal) compactLocked() error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.closed {
-		return fmt.Errorf("labelstore: wal closed")
-	}
 	s := w.store
 	s.mu.RLock()
 	caches := make([]*Cache, 0, len(s.caches))
@@ -340,100 +222,45 @@ func (w *wal) compactLocked() error {
 	}
 	s.mu.RUnlock()
 
-	tmpPath := w.path + ".compact"
-	tmp, err := os.Create(tmpPath) //supg:atomiccommit-ok compaction's tmp file; fsynced below, then renamed over the WAL
-	if err != nil {
-		return fmt.Errorf("labelstore: wal compact: %w", err)
-	}
-	defer os.Remove(tmpPath) // no-op after a successful rename
-	bw := bufio.NewWriter(tmp)
-	var (
-		records int64
-		ids     = make(map[*Cache]uint64)
-		nextID  = uint64(1)
-	)
-	writeFrame := func(payload []byte) error {
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		_, err := bw.Write(payload)
-		records++
-		return err
-	}
-	for _, c := range caches {
-		if c.dead.Load() {
-			continue
-		}
-		var id uint64
-		for si := range c.shards {
-			sh := &c.shards[si]
-			sh.mu.Lock()
-			snap := make(map[int]bool, len(sh.m))
-			for k, v := range sh.m {
-				snap[k] = v
+	ids := make(map[*Cache]uint64)
+	nextID := uint64(1)
+	err := w.log.Rewrite(func(write func([]byte) error) error {
+		var rec []byte
+		for _, c := range caches {
+			if c.dead.Load() {
+				continue
 			}
-			sh.mu.Unlock()
-			for k, v := range snap {
-				if id == 0 {
-					id = nextID
-					nextID++
-					var def []byte
-					def = append(def, recCacheDef)
-					def = binary.AppendUvarint(def, id)
-					def = appendString(def, c.key.Table)
-					def = appendString(def, c.key.Oracle)
-					if err := writeFrame(def); err != nil {
-						tmp.Close()
-						return fmt.Errorf("labelstore: wal compact: %w", err)
+			var id uint64
+			for si := range c.shards {
+				sh := &c.shards[si]
+				sh.mu.Lock()
+				snap := make(map[int]bool, len(sh.m))
+				for k, v := range sh.m {
+					snap[k] = v
+				}
+				sh.mu.Unlock()
+				for k, v := range snap {
+					if id == 0 {
+						id = nextID
+						nextID++
+						ids[c] = id
+						rec = appendCacheDef(rec[:0], id, c.key)
+						if err := write(rec); err != nil {
+							return err
+						}
+					}
+					rec = appendLabelRec(rec[:0], id, k, v)
+					if err := write(rec); err != nil {
+						return err
 					}
 				}
-				var rec []byte
-				rec = append(rec, recLabel)
-				rec = binary.AppendUvarint(rec, id)
-				rec = binary.AppendUvarint(rec, uint64(k))
-				if v {
-					rec = append(rec, 1)
-				} else {
-					rec = append(rec, 0)
-				}
-				if err := writeFrame(rec); err != nil {
-					tmp.Close()
-					return fmt.Errorf("labelstore: wal compact: %w", err)
-				}
 			}
 		}
-		if id != 0 {
-			ids[c] = id
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("labelstore: wal compact: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("labelstore: wal compact: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("labelstore: wal compact: %w", err)
-	}
-	if err := os.Rename(tmpPath, w.path); err != nil { //supg:atomiccommit-ok this IS the compaction commit point: tmp was fsynced above and the directory is synced after
-		return fmt.Errorf("labelstore: wal compact: %w", err)
-	}
-	// Swap the append side over to the fresh file.
-	old := w.f
-	f, err := os.OpenFile(w.path, os.O_RDWR|os.O_APPEND, 0o644)
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("labelstore: wal compact reopen: %w", err)
+		return fmt.Errorf("labelstore: wal compact: %w", err)
 	}
-	old.Close()
-	w.f = f
-	w.w = bufio.NewWriter(f)
-	w.unsynced = 0
-	w.records = records
 	w.ids = ids
 	w.nextID = nextID
 	return nil
@@ -447,21 +274,10 @@ func (w *wal) close() error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return w.err
+	if err := w.log.Close(); err != nil {
+		return fmt.Errorf("labelstore: wal: %w", err)
 	}
-	w.closed = true
-	if w.err == nil {
-		if err := w.w.Flush(); err != nil {
-			w.err = fmt.Errorf("labelstore: wal flush: %w", err)
-		} else if err := w.f.Sync(); err != nil {
-			w.err = fmt.Errorf("labelstore: wal sync: %w", err)
-		}
-	}
-	if err := w.f.Close(); err != nil && w.err == nil {
-		w.err = fmt.Errorf("labelstore: wal close: %w", err)
-	}
-	return w.err
+	return nil
 }
 
 // recordCount returns the number of frames currently in the file.
@@ -471,29 +287,5 @@ func (w *wal) recordCount() int64 {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.records
-}
-
-// appendString writes a uvarint-length-prefixed string.
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// readUvarint consumes a uvarint from b.
-func readUvarint(b []byte) (v uint64, rest []byte, ok bool) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, false
-	}
-	return v, b[n:], true
-}
-
-// readString consumes a length-prefixed string from b.
-func readString(b []byte) (s string, rest []byte, ok bool) {
-	n, b, ok := readUvarint(b)
-	if !ok || uint64(len(b)) < n {
-		return "", nil, false
-	}
-	return string(b[:n]), b[n:], true
+	return w.log.Frames()
 }

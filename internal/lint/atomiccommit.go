@@ -8,23 +8,26 @@ import (
 )
 
 // AtomicCommit enforces the durable-storage commit discipline in
-// internal/storage and internal/labelstore:
+// internal/durable, internal/storage, and internal/labelstore:
 //
 //   - file creation and renames must flow through the fsync'd
-//     tmp→rename commit helpers (atomicWriter, the WAL/manifest
-//     appenders). Direct os.Rename / os.WriteFile / os.Create /
+//     tmp→rename commit helpers of internal/durable (AtomicWriter and
+//     the framed Log). Direct os.Rename / os.WriteFile / os.Create /
 //     os.OpenFile(O_CREATE) sites are flagged — the helpers
 //     themselves carry //supg:atomiccommit-ok annotations stating why
 //     they are the commit path.
-//   - a raw file write must not reach a manifest/WAL append without
-//     an intervening fsync: the manifest records a file's size+CRC,
-//     so appending before the data is durable can commit metadata for
-//     bytes that a crash then loses.
+//   - a raw file write must not reach a durable-log append without an
+//     intervening fsync: the manifest records a file's size+CRC, so
+//     appending before the data is durable can commit metadata for
+//     bytes that a crash then loses. Appends are durable.Log's Append
+//     and Rewrite (matched by type identity) and append* methods of
+//     types named like a manifest or WAL.
 var AtomicCommit = &Analyzer{
 	Name:       "atomiccommit",
 	Doc:        "require the fsync'd tmp→rename commit path for storage and WAL writes",
 	Annotation: "atomiccommit",
 	Packages: []string{
+		"internal/durable",
 		"internal/storage",
 		"internal/labelstore",
 	},
@@ -45,20 +48,22 @@ func runAtomicCommit(pass *Pass) {
 	})
 }
 
+const commitHint = "route the write through internal/durable (durable.AtomicWriter for files, durable.Log for logs); if this call IS the commit helper, annotate it with //supg:atomiccommit-ok <reason>"
+
 // checkRawFileOp flags direct file-creating / renaming os calls.
 func checkRawFileOp(pass *Pass, call *ast.CallExpr) {
 	for _, name := range []string{"Rename", "WriteFile", "Create"} {
 		if pass.CalleeIsPkgFunc(call, "os", name) {
 			pass.Report(call.Pos(),
 				fmt.Sprintf("direct os.%s bypasses the fsync'd tmp→rename commit path", name),
-				"route the write through the commit helpers (atomicWriter / the WAL appenders); if this call IS the commit helper, annotate it with //supg:atomiccommit-ok <reason>")
+				commitHint)
 			return
 		}
 	}
 	if pass.CalleeIsPkgFunc(call, "os", "OpenFile") && len(call.Args) >= 2 && mentionsOCreate(pass, call.Args[1]) {
 		pass.Report(call.Pos(),
 			"direct os.OpenFile with O_CREATE bypasses the fsync'd tmp→rename commit path",
-			"route the write through the commit helpers (atomicWriter / the WAL appenders); if this call IS the commit helper, annotate it with //supg:atomiccommit-ok <reason>")
+			commitHint)
 	}
 }
 
@@ -105,11 +110,11 @@ func checkSyncBeforeAppend(pass *Pass, fd *ast.FuncDecl) {
 			pendingWrite = true
 		case name == "Sync" || name == "Flush" || strings.Contains(strings.ToLower(name), "sync"):
 			pendingWrite = false
-		case strings.HasPrefix(name, "append") && isDurableLogRecv(pass, sel):
+		case isSharedLogAppend(pass, sel) || strings.HasPrefix(name, "append") && isDurableLogRecv(pass, sel):
 			if pendingWrite {
 				pass.Report(call.Pos(),
 					"raw file write can reach this manifest/WAL append without an fsync: a crash could commit metadata for lost bytes",
-					"Sync the written file (or go through atomicWriter.Commit) before appending the record")
+					"Sync the written file (or go through durable.AtomicWriter.Commit) before appending the record")
 			}
 		}
 		return true
@@ -126,6 +131,17 @@ func isFileWrite(pass *Pass, sel *ast.SelectorExpr) bool {
 	}
 	t := pass.TypeOf(sel.X)
 	return namedTypeIs(t, "os", "File") || namedTypeIs(t, "bufio", "Writer")
+}
+
+// isSharedLogAppend reports whether sel is an Append or Rewrite on
+// the shared framed log, durable.Log, whatever the variable or field
+// holding it is called.
+func isSharedLogAppend(pass *Pass, sel *ast.SelectorExpr) bool {
+	switch sel.Sel.Name {
+	case "Append", "Rewrite":
+		return namedTypeIs(pass.TypeOf(sel.X), pass.ModulePath+"/internal/durable", "Log")
+	}
+	return false
 }
 
 // isDurableLogRecv reports whether sel's receiver is a named type

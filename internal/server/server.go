@@ -95,12 +95,6 @@ type Options struct {
 	// OracleLatency wrapping, exactly like a preload). See
 	// engine.Options.PersistDir.
 	PersistDir string
-	// PersistMadvise optionally hints mapped-file residency ("normal",
-	// "random", "sequential", "willneed"; empty = no hint).
-	PersistMadvise string
-	// PersistNoMmap forces heap loads of persisted files (testing and
-	// portability escape hatch).
-	PersistNoMmap bool
 }
 
 // defaultMaxBodyBytes caps uploads at 64 MiB unless overridden.
@@ -182,8 +176,6 @@ func Open(seed uint64, opts Options) (*Server, error) {
 		BreakerThreshold:  opts.BreakerThreshold,
 		BreakerCooldown:   opts.BreakerCooldown,
 		PersistDir:        opts.PersistDir,
-		PersistNoMmap:     opts.PersistNoMmap,
-		PersistMadvise:    opts.PersistMadvise,
 	})
 	if err != nil {
 		return nil, err

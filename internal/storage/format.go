@@ -1,17 +1,13 @@
 package storage
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 
 	"supg/internal/dataset"
+	"supg/internal/durable"
 	"supg/internal/index"
 )
 
@@ -58,8 +54,6 @@ const (
 var (
 	colMagic = [8]byte{'S', 'U', 'P', 'G', 'C', 'O', 'L', '1'}
 	segMagic = [8]byte{'S', 'U', 'P', 'G', 'S', 'E', 'G', '1'}
-
-	castagnoli = crc32.MakeTable(crc32.Castagnoli)
 )
 
 // columnFile is the parsed structural view of a .col file.
@@ -186,84 +180,9 @@ func decodeInts(b []byte) []int {
 	return out
 }
 
-// atomicWriter streams a file body through a buffered writer and a
-// running CRC, then commits it with fsync + atomic rename. Callers
-// write everything, then Commit.
-type atomicWriter struct {
-	path string
-	tmp  string
-	f    *os.File
-	bw   *bufio.Writer
-	crc  hash.Hash32
-	size int64
-	w    io.Writer
-}
-
-func newAtomicWriter(path string) (*atomicWriter, error) {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644) //supg:atomiccommit-ok atomicWriter IS the tmp→fsync→rename helper; this opens its tmp side
-	if err != nil {
-		return nil, err
-	}
-	aw := &atomicWriter{path: path, tmp: tmp, f: f, bw: bufio.NewWriterSize(f, 1<<16), crc: crc32.New(castagnoli)}
-	aw.w = io.MultiWriter(aw.bw, aw.crc)
-	return aw, nil
-}
-
-func (aw *atomicWriter) Write(p []byte) (int, error) {
-	n, err := aw.w.Write(p)
-	aw.size += int64(n)
-	return n, err
-}
-
-// Commit flushes, fsyncs, and renames the temp file into place, then
-// fsyncs the directory so the rename itself is durable. On any error
-// the temp file is removed.
-func (aw *atomicWriter) Commit() (crc uint32, size int64, err error) {
-	defer func() {
-		if err != nil {
-			aw.f.Close()
-			os.Remove(aw.tmp)
-		}
-	}()
-	if err = aw.bw.Flush(); err != nil {
-		return 0, 0, err
-	}
-	if err = aw.f.Sync(); err != nil {
-		return 0, 0, err
-	}
-	if err = aw.f.Close(); err != nil {
-		return 0, 0, err
-	}
-	if err = os.Rename(aw.tmp, aw.path); err != nil { //supg:atomiccommit-ok atomicWriter.Commit's rename: the tmp file was flushed, fsynced, and closed above
-		return 0, 0, err
-	}
-	if err = syncDir(filepath.Dir(aw.path)); err != nil {
-		return 0, 0, err
-	}
-	return aw.crc.Sum32(), aw.size, nil
-}
-
-// Abort discards the temp file (no-op after a successful Commit).
-func (aw *atomicWriter) Abort() {
-	aw.f.Close()
-	os.Remove(aw.tmp)
-}
-
-// syncDir fsyncs a directory so that renames/creates within it are
-// durable before dependent manifest records are appended.
-func syncDir(dir string) error {
-	df, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer df.Close()
-	return df.Sync()
-}
-
 // writeDatasetFile persists d in the dataset binary interchange format.
 func writeDatasetFile(path string, d *dataset.Dataset) (crc uint32, size int64, err error) {
-	aw, err := newAtomicWriter(path)
+	aw, err := durable.NewAtomicWriter(path)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -276,7 +195,7 @@ func writeDatasetFile(path string, d *dataset.Dataset) (crc uint32, size int64, 
 
 // writeColumnFile persists an index's contiguous score column.
 func writeColumnFile(path string, scores []float64) (crc uint32, size int64, err error) {
-	aw, err := newAtomicWriter(path)
+	aw, err := durable.NewAtomicWriter(path)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -298,7 +217,7 @@ func writeColumnFile(path string, scores []float64) (crc uint32, size int64, err
 // writeSegmentFile persists one immutable segment view: its base, the
 // sorting permutation, and the sorted scores.
 func writeSegmentFile(path string, sd index.SegmentData) (crc uint32, size int64, err error) {
-	aw, err := newAtomicWriter(path)
+	aw, err := durable.NewAtomicWriter(path)
 	if err != nil {
 		return 0, 0, err
 	}

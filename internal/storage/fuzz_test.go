@@ -1,12 +1,14 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
 	"testing"
 
 	"supg/internal/dataset"
+	"supg/internal/durable"
 	"supg/internal/index"
 	"supg/internal/randx"
 )
@@ -23,7 +25,7 @@ import (
 func frame(payload []byte) []byte {
 	b := make([]byte, 8+len(payload))
 	binary.LittleEndian.PutUint32(b, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(payload, durable.Castagnoli))
 	copy(b[8:], payload)
 	return b
 }
@@ -59,17 +61,17 @@ func FuzzManifestReplay(f *testing.F) {
 		segs: []segRec{{file: "000003.seg", base: 0, count: 10, crc: 9, size: 200}},
 	}, []legacyCodeEntry{{file: "000004.qcv", crc: 5, size: 80}})))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, goodOff := replayManifest(data)
+		st, frames, goodOff := replayManifest(t, data)
 		if goodOff < 0 || goodOff > int64(len(data)) {
 			t.Fatalf("goodOff %d outside [0, %d]", goodOff, len(data))
 		}
 		// Replaying the good prefix alone must reproduce the fold exactly
 		// (this is what Open commits to after truncating the tail).
-		st2, off2 := replayManifest(data[:goodOff])
-		if off2 != goodOff || st2.frames != st.frames ||
+		st2, frames2, off2 := replayManifest(t, data[:goodOff])
+		if off2 != goodOff || frames2 != frames ||
 			len(st2.tables) != len(st.tables) || len(st2.indexes) != len(st.indexes) {
 			t.Fatalf("replay of the good prefix diverged: %d/%d frames, off %d/%d",
-				st2.frames, st.frames, off2, goodOff)
+				frames2, frames, off2, goodOff)
 		}
 		// Every surviving catalog file name must be safe to join.
 		for _, rec := range st.tables {
@@ -78,6 +80,18 @@ func FuzzManifestReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// replayManifest folds manifest bytes into a catalog exactly as
+// openManifest does, returning the frames applied and the offset just
+// past the last of them.
+func replayManifest(t *testing.T, data []byte) (manifestState, int64, int64) {
+	st := newManifestState()
+	frames, goodOff, err := durable.Replay(bytes.NewReader(data), manifestFormat, st.applyFrame)
+	if err != nil {
+		t.Fatalf("in-memory replay: %v", err)
+	}
+	return st, frames, goodOff
 }
 
 func containsSep(s string) bool {

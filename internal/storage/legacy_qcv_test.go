@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"supg/internal/durable"
 	"supg/internal/index"
 )
 
@@ -28,26 +29,26 @@ type legacyCodeEntry struct {
 // layout with a (file, crc, size) code reference after each segment.
 func encodeLegacyIndexQ(rec indexRec, codes []legacyCodeEntry) []byte {
 	b := []byte{recIndexQ}
-	b = appendString(b, rec.table)
-	b = appendString(b, rec.source)
-	b = appendString(b, rec.fusion)
-	b = appendString(b, rec.calibOracle)
+	b = durable.AppendString(b, rec.table)
+	b = durable.AppendString(b, rec.source)
+	b = durable.AppendString(b, rec.fusion)
+	b = durable.AppendString(b, rec.calibOracle)
 	b = binary.AppendUvarint(b, uint64(len(rec.proxies)))
 	for _, p := range rec.proxies {
-		b = appendString(b, p)
+		b = durable.AppendString(b, p)
 	}
 	b = binary.AppendUvarint(b, uint64(rec.n))
-	b = appendString(b, rec.colFile)
+	b = durable.AppendString(b, rec.colFile)
 	b = binary.AppendUvarint(b, uint64(rec.colCRC))
 	b = binary.AppendUvarint(b, uint64(rec.colSize))
 	b = binary.AppendUvarint(b, uint64(len(rec.segs)))
 	for i, s := range rec.segs {
-		b = appendString(b, s.file)
+		b = durable.AppendString(b, s.file)
 		b = binary.AppendUvarint(b, uint64(s.base))
 		b = binary.AppendUvarint(b, uint64(s.count))
 		b = binary.AppendUvarint(b, uint64(s.crc))
 		b = binary.AppendUvarint(b, uint64(s.size))
-		b = appendString(b, codes[i].file)
+		b = durable.AppendString(b, codes[i].file)
 		b = binary.AppendUvarint(b, uint64(codes[i].crc))
 		b = binary.AppendUvarint(b, uint64(codes[i].size))
 	}
@@ -100,7 +101,7 @@ func seedLegacyCodeStore(t *testing.T, dir string, segSize int) *index.ScoreInde
 		data := legacyCodeFile(ix.SegmentView(i), ix.Scores())
 		codes[i] = legacyCodeEntry{
 			file: fmt.Sprintf("%06d.qcv", 900+i),
-			crc:  crc32.Checksum(data, castagnoli),
+			crc:  crc32.Checksum(data, durable.Castagnoli),
 			size: int64(len(data)),
 		}
 		if err := os.WriteFile(filepath.Join(dir, codes[i].file), data, 0o644); err != nil {
@@ -206,7 +207,7 @@ func TestLegacyIndexRecordRewrittenPlain(t *testing.T) {
 		t.Fatalf("flush appended record type %d, want recIndex (%d)", last, recIndex)
 	}
 
-	if err := s.man.compact(s.st); err != nil {
+	if err := compactManifest(s.man, s.st); err != nil {
 		t.Fatal(err)
 	}
 	for i, rt := range manifestRecordTypes(t, dir) {

@@ -13,8 +13,6 @@ func mapFile(path string) ([]byte, error) {
 	return nil, fmt.Errorf("storage: mmap unsupported on this platform")
 }
 
-func madviseBytes(b []byte, advice int) error { return nil }
-
 // The alias helpers are unreachable when mmapSupported is false (every
 // load decodes instead); they exist so the package compiles.
 func aliasFloat64s(b []byte) []float64 { panic("storage: aliasFloat64s without mmap support") }

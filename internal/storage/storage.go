@@ -2,12 +2,14 @@
 // write-once, CRC-verified on-disk format for datasets, index score
 // columns, and per-segment (score, id) permutations, plus an
 // append-only MANIFEST log that records which files are live for each
-// (table, score source). The contract is zero-rescan recovery with
-// byte-identical results: Open mmaps the persisted files back into
-// index segment views, re-proving (not re-computing) each permutation,
-// so a restarted process answers queries bit-for-bit the same as
-// before the crash while invoking zero proxy UDFs and performing zero
-// permutation sorts.
+// (table, score source). Files and the log go through internal/durable
+// (durable.AtomicWriter and durable.Log), which the label WAL shares.
+// The contract is zero-rescan recovery with byte-identical results:
+// Open mmaps the persisted files back into index segment views,
+// re-proving (not re-computing) each permutation, so a restarted
+// process answers queries bit-for-bit the same as before the crash
+// while invoking zero proxy UDFs and performing zero permutation
+// sorts.
 //
 // Crash discipline, in order of commit:
 //
@@ -30,13 +32,13 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"supg/internal/dataset"
+	"supg/internal/durable"
 	"supg/internal/index"
 	"supg/internal/metrics"
 )
@@ -48,38 +50,9 @@ type Options struct {
 	// NoMmap forces heap loads with portable decoding even on
 	// platforms that support zero-copy mapping.
 	NoMmap bool
-	// Madvise optionally hints residency for mapped files: "",
-	// "normal", "random", "sequential", or "willneed".
-	Madvise string
 	// Index supplies the segment size and parallelism recovered
 	// indexes use for verification and future appends.
 	Index index.Options
-}
-
-// Residency hints (resolved from Options.Madvise).
-const (
-	adviseNone = iota
-	adviseNormal
-	adviseRandom
-	adviseSequential
-	adviseWillneed
-)
-
-func parseMadvise(s string) (int, error) {
-	switch s {
-	case "", "none":
-		return adviseNone, nil
-	case "normal":
-		return adviseNormal, nil
-	case "random":
-		return adviseRandom, nil
-	case "sequential":
-		return adviseSequential, nil
-	case "willneed":
-		return adviseWillneed, nil
-	default:
-		return 0, fmt.Errorf("storage: unknown madvise hint %q (want normal, random, sequential, or willneed)", s)
-	}
 }
 
 // ErrSuperseded reports that a SaveIndex was abandoned because the
@@ -137,12 +110,11 @@ type Stats struct {
 // Store owns a persistence directory: the MANIFEST log plus write-once
 // dataset/column/segment files.
 type Store struct {
-	dir    string
-	opts   Options
-	advise int
+	dir  string
+	opts Options
 
 	mu     sync.Mutex
-	man    *manifest
+	man    *durable.Log
 	st     manifestState
 	epochs map[string]uint64
 	seq    uint64
@@ -171,10 +143,6 @@ func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("storage: no directory configured")
 	}
-	advise, err := parseMadvise(opts.Madvise)
-	if err != nil {
-		return nil, err
-	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create %s: %w", opts.Dir, err)
 	}
@@ -187,7 +155,6 @@ func Open(opts Options) (*Store, error) {
 	s := &Store{
 		dir:    opts.Dir,
 		opts:   opts,
-		advise: advise,
 		man:    man,
 		st:     st,
 		epochs: make(map[string]uint64),
@@ -195,17 +162,14 @@ func Open(opts Options) (*Store, error) {
 	s.loadCatalog()
 	s.initSeq()
 	s.sweepOrphans()
-	if s.man.shouldCompact(s.st.live()) {
-		if err := s.man.compact(s.st); err == nil {
-			s.compactions++
-		}
-	}
+	s.maybeCompactLocked(s.man.Frames())
 	s.recElapsed = time.Since(start)
 	return s, nil
 }
 
 // removeCrashLitter deletes temp files a crash may have left behind:
-// half-written *.tmp data files and an uncommitted MANIFEST.compact.
+// half-written *.tmp files (data files and an uncommitted manifest
+// rewrite) and MANIFEST.compact, the rewrite temp of older versions.
 func removeCrashLitter(dir string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -222,12 +186,7 @@ func removeCrashLitter(dir string) {
 // loadCatalog materializes every live manifest entry, dropping (with a
 // durable tombstone) anything that fails verification.
 func (s *Store) loadCatalog() {
-	names := make([]string, 0, len(s.st.tables))
-	for name := range s.st.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedTables(s.st.tables) {
 		rec := s.st.tables[name]
 		d, err := s.loadDataset(rec)
 		if err != nil {
@@ -237,17 +196,7 @@ func (s *Store) loadCatalog() {
 		}
 		s.recTables = append(s.recTables, RecoveredTable{Name: name, Dataset: d, CRC: rec.crc})
 	}
-	keys := make([]ixKey, 0, len(s.st.indexes))
-	for k := range s.st.indexes {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].table != keys[j].table {
-			return keys[i].table < keys[j].table
-		}
-		return keys[i].source < keys[j].source
-	})
-	for _, k := range keys {
+	for _, k := range sortedIndexKeys(s.st.indexes) {
 		rec := s.st.indexes[k]
 		tbl, ok := s.st.tables[k.table]
 		if !ok {
@@ -282,7 +231,7 @@ func (s *Store) degrade(note string) {
 // tombstone durably records a drop discovered during recovery. File
 // removal is left to the orphan sweep that follows catalog loading.
 func (s *Store) tombstone(payload []byte, rtype byte, rec any) {
-	if err := s.man.appendRecord(payload); err != nil {
+	if err := s.man.Append(payload); err != nil {
 		// The drop still applies in memory; a re-crash just rediscovers
 		// the same corruption on the next boot.
 		s.degrade(fmt.Sprintf("tombstone append failed: %v", err))
@@ -393,11 +342,10 @@ func (s *Store) loadVerified(name string, wantSize int64, wantCRC uint32) ([]byt
 	if int64(len(data)) != wantSize {
 		return nil, false, fmt.Errorf("file is %d bytes, manifest says %d", len(data), wantSize)
 	}
-	if got := crc32.Checksum(data, castagnoli); got != wantCRC {
+	if got := crc32.Checksum(data, durable.Castagnoli); got != wantCRC {
 		return nil, false, fmt.Errorf("CRC mismatch (got %08x, manifest says %08x)", got, wantCRC)
 	}
 	if mapped {
-		madviseBytes(data, s.advise)
 		s.mappedBytes += int64(len(data))
 	}
 	return data, mapped, nil
@@ -491,7 +439,7 @@ func (s *Store) WithCounters(c *metrics.Counters) {
 	c.StorageMappedBytes(s.mappedBytes)
 	c.StorageRecoveryMillis(s.recElapsed.Milliseconds())
 	c.StorageSegmentsPersisted(s.segmentsPersisted)
-	c.StorageManifestRecords(s.man.frames)
+	c.StorageManifestRecords(s.man.Frames())
 	c.StorageManifestCompactions(s.compactions)
 }
 
@@ -512,7 +460,7 @@ func (s *Store) Stats() Stats {
 		SegmentsRecovered: s.recSegments,
 		MappedBytes:       s.mappedBytes,
 		RecoveryElapsed:   s.recElapsed,
-		ManifestRecords:   s.man.frames,
+		ManifestRecords:   s.man.Frames(),
 		Compactions:       s.compactions,
 		Degraded:          append([]string(nil), s.degraded...),
 	}
@@ -523,7 +471,7 @@ func (s *Store) Stats() Stats {
 // a persisted dataset, usable to recognize a re-registration of
 // identical content.
 func DatasetCRC(d *dataset.Dataset) uint32 {
-	h := crc32.New(castagnoli)
+	h := crc32.New(durable.Castagnoli)
 	dataset.WriteBinary(h, d) // hash writers cannot fail
 	return h.Sum32()
 }
@@ -553,8 +501,8 @@ func (s *Store) SaveDataset(name string, d *dataset.Dataset) error {
 		return fmt.Errorf("storage: store closed")
 	}
 	rec := datasetRec{name: name, file: file, records: d.Len(), crc: crc, size: size}
-	before := s.man.frames
-	if err := s.man.appendRecord(encodeDataset(rec)); err != nil {
+	before := s.man.Frames()
+	if err := s.man.Append(encodeDataset(rec)); err != nil {
 		os.Remove(filepath.Join(s.dir, file))
 		return err
 	}
@@ -660,8 +608,8 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 		colSize:     colSize,
 		segs:        segs,
 	}
-	before := s.man.frames
-	if err := s.man.appendRecord(encodeIndex(rec)); err != nil {
+	before := s.man.Frames()
+	if err := s.man.Append(encodeIndex(rec)); err != nil {
 		abort()
 		return err
 	}
@@ -713,8 +661,8 @@ func (s *Store) DropTable(name string) error {
 	if !hadTable && !hasIx {
 		return nil
 	}
-	before := s.man.frames
-	if err := s.man.appendRecord(encodeDropTable(name)); err != nil {
+	before := s.man.Frames()
+	if err := s.man.Append(encodeDropTable(name)); err != nil {
 		return err
 	}
 	if rec, ok := s.st.tables[name]; ok {
@@ -751,8 +699,8 @@ func (s *Store) DropIndex(table, source string) error {
 	if !ok {
 		return nil
 	}
-	before := s.man.frames
-	if err := s.man.appendRecord(encodeDropIndex(key)); err != nil {
+	before := s.man.Frames()
+	if err := s.man.Append(encodeDropIndex(key)); err != nil {
 		return err
 	}
 	os.Remove(filepath.Join(s.dir, rec.colFile))
@@ -765,16 +713,17 @@ func (s *Store) DropIndex(table, source string) error {
 }
 
 // maybeCompactLocked folds manifest bookkeeping after an append and
-// compacts when dead records dominate. Called with s.mu held; before is
-// the frame count prior to the append(s) being accounted.
+// compacts when dead records dominate. Called with s.mu held (or from
+// Open, before s is shared); before is the frame count prior to the
+// append(s) being accounted.
 func (s *Store) maybeCompactLocked(before int64) {
-	if s.man.shouldCompact(s.st.live()) {
-		if err := s.man.compact(s.st); err == nil {
+	if frames := s.man.Frames(); frames >= compactMinFrames && frames > 2*s.st.live() {
+		if err := compactManifest(s.man, s.st); err == nil {
 			s.compactions++
 			s.counters.StorageManifestCompactions(1)
 		}
 	}
-	if delta := s.man.frames - before; delta != 0 {
+	if delta := s.man.Frames() - before; delta != 0 {
 		s.counters.StorageManifestRecords(delta)
 	}
 }

@@ -516,35 +516,10 @@ func TestIndexLongerThanTableRejected(t *testing.T) {
 	}
 }
 
-func TestParseMadvise(t *testing.T) {
-	for s, want := range map[string]int{
-		"": adviseNone, "none": adviseNone, "normal": adviseNormal,
-		"random": adviseRandom, "sequential": adviseSequential, "willneed": adviseWillneed,
-	} {
-		got, err := parseMadvise(s)
-		if err != nil || got != want {
-			t.Fatalf("parseMadvise(%q) = %d, %v", s, got, err)
-		}
-	}
-	if _, err := parseMadvise("aggressive"); err == nil {
-		t.Fatal("unknown hint accepted")
-	}
-	if _, err := Open(Options{Dir: t.TempDir(), Madvise: "aggressive"}); err == nil {
-		t.Fatal("Open accepted an unknown madvise hint")
-	}
+func TestOpenRequiresDir(t *testing.T) {
 	if _, err := Open(Options{}); err == nil {
 		t.Fatal("Open accepted an empty directory")
 	}
-}
-
-func TestMadviseHintRecovery(t *testing.T) {
-	dir := t.TempDir()
-	_, ix := seedStore(t, dir, 700)
-	s := openStore(t, Options{Dir: dir, Madvise: "random"})
-	if st := s.Stats(); st.IndexesRecovered != 1 {
-		t.Fatalf("madvise=random recovery failed: %+v", st)
-	}
-	assertIndexEquivalent(t, ix, s.RecoveredIndexes()[0].Index)
 }
 
 func TestCheckFileName(t *testing.T) {

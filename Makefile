@@ -13,7 +13,7 @@ SMOKE_N ?= 65536
 BENCH_HOTPATH_ENGINE = SelectHotPath$$|SelectMixtureWarm
 BENCH_HOTPATH_INDEX = PermScan|IndexAppend
 
-.PHONY: all build test test-race vet lint lint-fix fmt-check bench bench-json bench-check bench-labelstore bench-multiproxy bench-storage cover cover-check fuzz-smoke chaos-smoke profile
+.PHONY: all build test test-race vet lint lint-fix fmt-check bench bench-json bench-check bench-labelstore bench-multiproxy bench-storage cover cover-check fuzz-smoke chaos-smoke perfbench-test profile
 
 all: build vet test
 
@@ -92,6 +92,13 @@ chaos-smoke:
 	$(GO) test ./internal/storage -run 'Torn|Corrupt|Crash|Orphan' -count=1
 	$(GO) test ./internal/engine -run 'Chaos|KillRestart|RestartThenReRegistration|BreakerFailFast|Restart' -count=1
 	$(GO) test ./internal/server -run 'KillRestartWALRecovery|OracleUnavailable|JobFailureCarriesDiagnostic|Persist' -count=1
+
+# perfbench/ is its own Go module (replace supg => ../), so the root
+# module's go build/vet/test never compile it. Vet it and run its
+# self-test, which drives the in-process server through every workload
+# at a tiny scale and checks the report schema.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 bench:
 	$(GO) test ./internal/engine -bench SelectHotPath -benchmem -run '^$$'

@@ -82,9 +82,7 @@ func main() {
 		retention   = flag.Duration("job-retention", 15*time.Minute, "how long finished jobs stay queryable")
 		oracleLat   = flag.Duration("oracle-latency", 0, "simulated per-call oracle latency for every registered dataset (preloads and uploads)")
 		segSize     = flag.Int("segment-size", 0, "records per score-index segment (0 = default 256Ki); identical results at any setting")
-		buildPar    = flag.Int("index-build-parallelism", 0, "concurrent segment builds per index (0 = GOMAXPROCS)")
 		labelBytes  = flag.Int64("label-cache-bytes", 0, "cross-query oracle label cache budget in bytes (0 = default 64 MiB; negative disables label reuse)")
-		labelShards = flag.Int("label-cache-shards", 0, "label cache shards per (table, oracle) pair (0 = default 16)")
 		labelWAL    = flag.String("label-wal", "", "path of the label store write-ahead log; bought labels are journaled and replayed on restart, so the server re-buys zero labels (empty = not durable)")
 		walSync     = flag.Int("label-wal-sync-every", 1, "fsync the label WAL every N records (1 = every record)")
 		oracleTO    = flag.Duration("oracle-timeout", 0, "per-attempt oracle UDF timeout; timed-out attempts are retried as transient failures (0 = unbounded)")
@@ -104,22 +102,20 @@ func main() {
 	}
 
 	srv, err := server.Open(*seed, server.Options{
-		Workers:               *workers,
-		OracleParallelism:     *parallelism,
-		MaxBodyBytes:          *maxBody,
-		JobRetention:          *retention,
-		OracleLatency:         *oracleLat,
-		SegmentSize:           *segSize,
-		IndexBuildParallelism: *buildPar,
-		LabelCacheBytes:       *labelBytes,
-		LabelCacheShards:      *labelShards,
-		LabelWALPath:          *labelWAL,
-		LabelWALSyncEvery:     *walSync,
-		OracleTimeout:         *oracleTO,
-		OracleRetries:         *oracleRetry,
-		BreakerThreshold:      *brkThresh,
-		BreakerCooldown:       *brkCooldown,
-		PersistDir:            *persistDir,
+		Workers:           *workers,
+		OracleParallelism: *parallelism,
+		MaxBodyBytes:      *maxBody,
+		JobRetention:      *retention,
+		OracleLatency:     *oracleLat,
+		SegmentSize:       *segSize,
+		LabelCacheBytes:   *labelBytes,
+		LabelWALPath:      *labelWAL,
+		LabelWALSyncEvery: *walSync,
+		OracleTimeout:     *oracleTO,
+		OracleRetries:     *oracleRetry,
+		BreakerThreshold:  *brkThresh,
+		BreakerCooldown:   *brkCooldown,
+		PersistDir:        *persistDir,
 	})
 	if err != nil {
 		log.Fatalf("supg-server: %v", err)
@@ -137,37 +133,11 @@ func main() {
 		}
 	}
 	if *preload != "" {
-		d := srv.Dataset(*preload)
-		if d != nil {
-			// The storage tier already recovered this dataset — keep it
-			// (and its persisted indexes) instead of regenerating, which
-			// would invalidate the recovered state.
-			fmt.Printf("preload %s: recovered %d records from persist dir, skipping regeneration\n",
-				*preload, d.Len())
-		} else {
-			r := randx.New(*seed)
-			switch *preload {
-			case "beta":
-				d = dataset.Beta(r, *n, 0.01, 2)
-			case "imagenet":
-				d = dataset.ImageNetSim(r)
-			case "nightstreet":
-				d = dataset.NightStreetSimN(r, *n)
-			default:
-				log.Fatalf("supg-server: unknown preload %q", *preload)
-			}
-			srv.RegisterDataset(*preload, d)
-			fmt.Printf("preloaded %s: %d records (%.3f%% positive)\n",
-				*preload, d.Len(), 100*d.PositiveRate())
+		if err := preloadDataset(srv, *preload, *n, *seed); err != nil {
+			log.Fatalf("supg-server: %v", err)
 		}
 		if *variants {
-			// Deterministic monotone transforms of the preloaded proxy:
-			// individually they are miscalibrated views of the same
-			// signal, which is exactly the shape FUSE queries combine —
-			// e.g. USING FUSE(mean, beta_proxy(x), beta_proxy_soft(x)).
-			soft, sharp := *preload+"_proxy_soft", *preload+"_proxy_sharp"
-			srv.RegisterProxy(soft, func(i int) float64 { return math.Sqrt(d.Score(i)) })
-			srv.RegisterProxy(sharp, func(i int) float64 { s := d.Score(i); return s * s })
+			soft, sharp := registerProxyVariants(srv, *preload)
 			fmt.Printf("registered proxy variants %s, %s\n", soft, sharp)
 		}
 	}
@@ -219,4 +189,45 @@ func main() {
 	}
 	wg.Wait()
 	fmt.Println("supg-server: bye")
+}
+
+// preloadDataset registers the demo dataset kind (beta, imagenet or
+// nightstreet) of n records, unless the storage tier already recovered
+// a dataset of that name: it is kept, with its persisted indexes,
+// instead of regenerated, which would invalidate the recovered state.
+func preloadDataset(srv *server.Server, kind string, n int, seed uint64) error {
+	if d := srv.Dataset(kind); d != nil {
+		fmt.Printf("preload %s: recovered %d records from persist dir, skipping regeneration\n", kind, d.Len())
+		return nil
+	}
+	r := randx.New(seed)
+	var d *dataset.Dataset
+	switch kind {
+	case "beta":
+		d = dataset.Beta(r, n, 0.01, 2)
+	case "imagenet":
+		d = dataset.ImageNetSim(r)
+	case "nightstreet":
+		d = dataset.NightStreetSimN(r, n)
+	default:
+		return fmt.Errorf("unknown preload %q", kind)
+	}
+	srv.RegisterDataset(kind, d)
+	fmt.Printf("preloaded %s: %d records (%.3f%% positive)\n", kind, d.Len(), 100*d.PositiveRate())
+	return nil
+}
+
+// registerProxyVariants registers <name>_proxy_soft (square root) and
+// <name>_proxy_sharp (square) over dataset name's proxy scores.
+// Deterministic monotone transforms are individually miscalibrated
+// views of the same signal, which is exactly the shape FUSE queries
+// combine — e.g. USING FUSE(mean, beta_proxy(x), beta_proxy_soft(x)).
+// The variants read the server's live dataset on every call, so records
+// appended through PUT /v1/datasets/<name>/append are scorable too.
+func registerProxyVariants(srv *server.Server, name string) (soft, sharp string) {
+	score := func(i int) float64 { return srv.Dataset(name).Score(i) }
+	soft, sharp = name+"_proxy_soft", name+"_proxy_sharp"
+	srv.RegisterProxy(soft, func(i int) float64 { return math.Sqrt(score(i)) })
+	srv.RegisterProxy(sharp, func(i int) float64 { s := score(i); return s * s })
+	return soft, sharp
 }

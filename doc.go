@@ -94,6 +94,14 @@
 // cheaper than re-registration while cached queries keep running
 // against the old index until the extension is published.
 //
+// Fresh, appended and recovered indexes share one build in the engine:
+// score the records the base index does not cover with the source's
+// member proxies, fuse them row by row, and build a new index or append
+// to the base (an empty range adopts a recovered index whole).
+// Calibrated FUSE(logistic) sources are the only other build. A proxy
+// failure — an invalid score or a panicking UDF — is a permanent build
+// error, cached until a member proxy is re-registered.
+//
 // # Testing guarantees
 //
 // The guarantee machinery is protected by two complementary test
@@ -242,7 +250,10 @@
 // and calls zero proxy UDFs — persisted segments are verified in
 // O(n) (strict (score, id) ascent, bounds, bitwise agreement with the
 // column), which pins the unique sort order and makes every recovered
-// answer byte-identical to the pre-crash one. Corrupt or torn files
+// answer byte-identical to the pre-crash one. A recovered index is the
+// base of its first query's build: adopted whole, or extended by the
+// records appended since the flush (label-free sources only; a grown
+// table rebuilds calibrated fusions). Corrupt or torn files
 // are never served: the affected index degrades to a clean rebuild
 // (durably tombstoned, reported in RecoveryInfo and /v1/stats), and a
 // torn manifest tail is truncated by the same code as the WAL's. See

@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"fmt"
+	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"supg/internal/dataset"
+	"supg/internal/oracle"
 	"supg/internal/randx"
 )
 
@@ -162,5 +166,96 @@ func TestReregistrationAfterAppendRebuildsFully(t *testing.T) {
 	if !res.IndexBuilt || res.ProxyCalls != d2.Len() {
 		t.Fatalf("IndexBuilt=%v ProxyCalls=%d, want a %d-record rebuild from the new registration",
 			res.IndexBuilt, res.ProxyCalls, d2.Len())
+	}
+}
+
+const badTailSQL = `SELECT * FROM t WHERE t_oracle(x) ORACLE LIMIT 500 USING p(x) RECALL TARGET 90% WITH PROBABILITY 95%`
+
+// badTailEngine registers a 20,000-record table t whose proxy p scores
+// the original records from the dataset and answers ids at or past the
+// original length with bad(i). It runs one query so p's index exists,
+// then appends 1,000 records. calls counts p's invocations from then on.
+func badTailEngine(t *testing.T, bad func(i int) float64) (*Engine, *atomic.Int64) {
+	t.Helper()
+	base := dataset.Beta(randx.New(63), 20000, 0.01, 2)
+	extra := dataset.Beta(randx.New(64), 1000, 0.01, 2)
+	e := NewWithOptions(7, Options{SegmentSize: 4096})
+	e.RegisterDatasetDefaults("t", base)
+	calls := &atomic.Int64{}
+	e.RegisterProxy("p", func(i int) float64 {
+		calls.Add(1)
+		if i >= base.Len() {
+			return bad(i)
+		}
+		return base.Score(i)
+	})
+	if _, err := e.Execute(badTailSQL); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.AppendTable("t", extra); err != nil {
+		t.Fatal(err)
+	}
+	calls.Store(0)
+	return e, calls
+}
+
+// assertCachedBuildFailure runs badTailSQL twice: the first run scores
+// (at most) the 1,000-record tail and fails permanently; the second
+// returns the identical error from the cached entry without calling
+// the proxy. It returns the first run's proxy call count.
+func assertCachedBuildFailure(t *testing.T, e *Engine, calls *atomic.Int64, want ...string) int64 {
+	t.Helper()
+	_, first := e.Execute(badTailSQL)
+	if first == nil {
+		t.Fatal("query over the bad tail succeeded")
+	}
+	if oracle.Classify(first) != oracle.ClassPermanent {
+		t.Fatalf("build error %q is not permanent", first)
+	}
+	for _, w := range want {
+		if !strings.Contains(first.Error(), w) {
+			t.Fatalf("build error %q does not mention %q", first, w)
+		}
+	}
+	firstCalls := calls.Swap(0)
+	if firstCalls == 0 || firstCalls > 1000 {
+		t.Fatalf("failed append build made %d proxy calls, want at most the 1000-record tail", firstCalls)
+	}
+	_, second := e.Execute(badTailSQL)
+	if second == nil || second.Error() != first.Error() {
+		t.Fatalf("second query error %v, want the cached %q", second, first)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("second query made %d proxy calls, want 0 (cached permanent failure)", n)
+	}
+	return firstCalls
+}
+
+// TestAppendNaNScoreIsPermanent: an appended record the proxy scores
+// NaN fails the index extension exactly like a fresh build would — a
+// permanent error cached with the entry — so a repeat query neither
+// re-scans the table nor changes the message.
+func TestAppendNaNScoreIsPermanent(t *testing.T) {
+	e, calls := badTailEngine(t, func(int) float64 { return math.NaN() })
+	if n := assertCachedBuildFailure(t, e, calls, `engine: source "p"`); n != 1000 {
+		t.Fatalf("failed append build made %d proxy calls, want the 1000-record tail", n)
+	}
+}
+
+// TestPanickingProxyIsPermanent: a proxy UDF that panics fails the
+// build with a permanent error naming the proxy and the record instead
+// of crashing the process; the failure stays cached until the proxy is
+// re-registered.
+func TestPanickingProxyIsPermanent(t *testing.T) {
+	e, calls := badTailEngine(t, func(i int) float64 { panic(fmt.Sprintf("no score for %d", i)) })
+	assertCachedBuildFailure(t, e, calls, `"p"`, "record 20000", "no score for 20000")
+
+	e.RegisterProxy("p", func(i int) float64 { return float64(i%100) / 100 })
+	res, err := e.Execute(badTailSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.IndexBuilt || res.ProxyCalls != 21000 {
+		t.Fatalf("after re-registration: IndexBuilt=%v ProxyCalls=%d, want a full 21000-record build", res.IndexBuilt, res.ProxyCalls)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -71,29 +72,45 @@ type built struct {
 	calibHits  int
 }
 
+// provenance is what a score-source index was built from. Live cache
+// entries and staged recoveries carry the same immutable value, so one
+// walk invalidates both and adoption compares them with one check:
+// re-registering any member proxy drops the index, and re-registering
+// (or wrapping) the calibration oracle drops every fused index whose
+// stacker was fitted with its labels.
+type provenance struct {
+	proxies     []string         // member proxy UDFs, in source order
+	fusion      query.FusionKind // FusionNone for single-proxy sources
+	calibOracle string           // oracle UDF a calibrated fusion was fitted with ("" otherwise)
+}
+
+// usesProxy reports whether the source reads the named proxy.
+func (p provenance) usesProxy(name string) bool { return slices.Contains(p.proxies, name) }
+
+// equal reports whether p and q describe the same source.
+func (p provenance) equal(q provenance) bool {
+	return p.fusion == q.fusion && p.calibOracle == q.calibOracle && slices.Equal(p.proxies, q.proxies)
+}
+
 // indexEntry is a lazily-built, shared ScoreIndex. The sync.Once makes
 // concurrent first queries of the same (table, source) pair build the
-// index exactly once while the others wait for it. The build closure
-// snapshots the table, member proxies, and (for calibrated fusions)
-// the oracle and label-store handle under the same lock that publishes
-// the entry into the cache, so an entry can never be built from
-// registrations older than the ones its cache slot represents (a later
-// re-registration deletes the slot, and the next query snapshots fresh
-// state). An append publishes a new entry whose closure chains on the
-// replaced one, indexing only the appended records.
-//
-// The proxies/fusion/calibOracle fields are immutable invalidation
-// metadata: re-registering any member proxy drops the entry, and
-// re-registering (or wrapping) the calibration oracle drops every
-// fused index whose stacker was fitted with its labels.
+// index exactly once while the others wait for it. The entry snapshots
+// the member proxies (fns) and the build closure snapshots the table
+// and (for calibrated fusions) the oracle and label-store handle under
+// the same lock that publishes the entry into the cache, so an entry
+// can never be built from registrations older than the ones its cache
+// slot represents (a later re-registration deletes the slot, and the
+// next query snapshots fresh state). An append publishes a new entry
+// whose build chains on the replaced one, indexing only the appended
+// records.
 type indexEntry struct {
+	provenance
+	// fns are the member proxy UDFs the index is built from, in source
+	// order.
+	fns []ProxyUDF
 	// build produces the index plus its work accounting. Set at entry
 	// creation, run at most once via ensure.
 	build func() (built, error)
-
-	proxies     []string         // member proxy UDFs, in source order
-	fusion      query.FusionKind // FusionNone for single-proxy entries
-	calibOracle string           // oracle UDF a calibrated fusion was fitted with ("" otherwise)
 
 	// recovered marks an entry adopted from the durable storage tier:
 	// its build verifies (or append-extends) a persisted index instead
@@ -126,14 +143,35 @@ func (en *indexEntry) ensure() bool {
 	return ran
 }
 
-// usesProxy reports whether the entry's source reads the named proxy.
-func (en *indexEntry) usesProxy(name string) bool {
-	for _, p := range en.proxies {
-		if p == name {
-			return true
+// buildRange is the engine's one label-free index build. It scores the
+// records [base.Len(), hi) with the entry's member proxies, fuses them
+// (fuseRange), and builds a fresh index over them (base == nil) or
+// appends them to base as new segments. An empty range returns base
+// unchanged: whole adoption of a recovered index. Proxies are
+// deterministic by contract, so every failure is marked
+// oracle.Permanent and stays cached with the entry until a member
+// registration changes.
+func (en *indexEntry) buildRange(source string, base *index.ScoreIndex, hi int, opts index.Options) (built, error) {
+	lo := 0
+	if base != nil {
+		lo = base.Len()
+		if lo == hi {
+			return built{ix: base}, nil
 		}
 	}
-	return false
+	b := built{proxyCalls: len(en.fns) * (hi - lo)}
+	scores, err := fuseRange(en.provenance, en.fns, lo, hi)
+	if err == nil {
+		if base == nil {
+			b.ix, err = index.NewWithOptions(scores, opts)
+		} else {
+			b.ix, err = base.Append(scores)
+		}
+	}
+	if err != nil {
+		return b, oracle.Permanent(fmt.Errorf("engine: source %q: %w", source, err))
+	}
+	return b, nil
 }
 
 // Options tune index construction for all tables of an engine. The
@@ -144,18 +182,12 @@ type Options struct {
 	// finer-grained parallel builds and cheaper appends; results are
 	// identical at every setting.
 	SegmentSize int
-	// BuildParallelism bounds concurrent segment builds per index
-	// (<= 0 selects GOMAXPROCS).
-	BuildParallelism int
 	// LabelCacheBytes bounds the cross-query oracle label store shared
 	// by every query and job of this engine (0 selects
 	// labelstore.DefaultMaxBytes; negative disables label reuse
 	// entirely). In the default charged mode the store changes only the
 	// inner oracle's call count, never query results.
 	LabelCacheBytes int64
-	// LabelCacheShards is the label store's shard count per (table,
-	// oracle) pair (<= 0 selects labelstore.DefaultShards).
-	LabelCacheShards int
 	// LabelWALPath, when non-empty, makes the label store crash-durable:
 	// bought labels are journaled to a write-ahead log at this path and
 	// replayed on Open, so a restarted process re-buys zero labels. See
@@ -267,7 +299,6 @@ func Open(seed uint64, opts Options) (*Engine, error) {
 		var err error
 		labels, err = labelstore.Open(labelstore.Options{
 			MaxBytes:     opts.LabelCacheBytes,
-			Shards:       opts.LabelCacheShards,
 			WALPath:      opts.LabelWALPath,
 			WALSyncEvery: opts.LabelWALSyncEvery,
 		})
@@ -276,16 +307,13 @@ func Open(seed uint64, opts Options) (*Engine, error) {
 		}
 	}
 	e := &Engine{
-		tables:  make(map[string]*dataset.Dataset),
-		oracles: make(map[string]OracleUDF),
-		proxies: make(map[string]ProxyUDF),
-		indexes: make(map[indexKey]*indexEntry),
-		refs:    make(map[string]*atomic.Pointer[dataset.Dataset]),
-		seed:    seed,
-		ixOpts: index.Options{
-			SegmentSize: opts.SegmentSize,
-			Parallelism: opts.BuildParallelism,
-		},
+		tables:   make(map[string]*dataset.Dataset),
+		oracles:  make(map[string]OracleUDF),
+		proxies:  make(map[string]ProxyUDF),
+		indexes:  make(map[indexKey]*indexEntry),
+		refs:     make(map[string]*atomic.Pointer[dataset.Dataset]),
+		seed:     seed,
+		ixOpts:   index.Options{SegmentSize: opts.SegmentSize},
 		opts:     opts,
 		labels:   labels,
 		breakers: make(map[string]*oracle.Breaker),
@@ -398,36 +426,52 @@ func (e *Engine) OpenBreakers() int {
 func (e *Engine) RegisterTable(name string, d *dataset.Dataset) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.registerTableLocked(name, d)
+	delete(e.refs, name) // a direct registration detaches default UDF refs
+}
+
+// registerTableLocked installs d under name. The first registration of
+// a recovered name with identical content (same dataset pointer, or
+// same binary CRC) adopts the on-disk state: the files already describe
+// exactly this dataset, and the staged indexes stay eligible. Anything
+// else — a RE-registration, or different content — invalidates the
+// table's stored labels (re-registration only, mirroring the label
+// WAL), durably drops the old dataset and indexes, deletes the table's
+// cached entries and staged recoveries, and persists the new dataset.
+// Callers hold e.mu.
+func (e *Engine) registerTableLocked(name string, d *dataset.Dataset) {
 	_, existed := e.tables[name]
 	e.tables[name] = d
-	delete(e.refs, name) // a direct registration detaches default UDF refs
-	for k := range e.indexes {
-		if k.table == name {
-			delete(e.indexes, k)
-		}
-	}
 	if existed {
 		e.labels.InvalidateTable(name)
 	}
-	// The durable tier mirrors the label store's first-registration
-	// rule: a fresh boot loading a recovered dataset adopts the on-disk
-	// state; a re-registration (or different content) tombstones and
-	// rewrites it.
-	e.persistTableLocked(name, d, existed)
+	st, staged := e.staged[name]
+	delete(e.staged, name)
+	if staged && !existed && (st.ds == d || storage.DatasetCRC(d) == st.crc) {
+		return
+	}
+	if e.store != nil {
+		e.store.DropTable(name)
+	}
+	// After DropTable the walk's tombstones find no durable records left.
+	e.invalidateLocked(func(k indexKey, _ provenance) bool { return k.table == name })
+	if e.store != nil {
+		e.store.SaveDataset(name, d) // best-effort: a failed write degrades to rebuild-on-boot
+	}
 }
 
 // AppendTable atomically extends table name with extra's records,
 // which take the ids [old len, new len). Unlike re-registration, every
-// cached index of the table survives: its slot is republished as an
-// incremental entry that — on next use — evaluates the proxy over only
-// the appended records and merges them into the existing index as a
-// fresh segment, instead of re-scanning and re-sorting the whole
-// table. Stored oracle labels likewise survive: existing ids keep
-// their records and labels, so the label store extends naturally as
-// the new ids get labeled. Registered UDFs must accept the extended
-// id range; the
-// dataset-default UDFs (RegisterDatasetDefaults) are extended
-// automatically. The combined dataset is returned.
+// cached label-free index of the table survives: its slot is
+// republished as an incremental entry that — on next use — evaluates
+// the proxies over only the appended records and merges them into the
+// existing index as a fresh segment, instead of re-scanning and
+// re-sorting the whole table. Stored oracle labels likewise survive:
+// existing ids keep their records and labels, so the label store
+// extends naturally as the new ids get labeled. Registered UDFs must
+// accept the extended id range; the dataset-default UDFs
+// (RegisterDatasetDefaults) are extended automatically. The combined
+// dataset is returned.
 func (e *Engine) AppendTable(name string, extra *dataset.Dataset) (*dataset.Dataset, error) {
 	if extra == nil || extra.Len() == 0 {
 		return nil, fmt.Errorf("engine: empty append to table %q", name)
@@ -451,78 +495,52 @@ func (e *Engine) AppendTable(name string, extra *dataset.Dataset) (*dataset.Data
 	// survive appends, and each index re-flushes its extended form after
 	// its next build.
 	e.persistDataset(name, combined)
-	oldLen, newLen := old.Len(), combined.Len()
+	// Calibrated fusions cannot extend incrementally: the stacker is
+	// fitted on a uniform sample of the whole table, so an append changes
+	// the population it must be calibrated against. Drop them — the next
+	// query rebuilds and recalibrates, and its labels come warm out of
+	// the cross-query label store.
+	e.invalidateLocked(func(k indexKey, p provenance) bool {
+		return k.table == name && p.fusion.Calibrated()
+	})
+	newLen := combined.Len()
 	for key, parent := range e.indexes {
 		if key.table != name {
 			continue
 		}
-		// Calibrated fusions cannot extend incrementally: the stacker is
-		// fitted on a uniform sample of the whole table, so an append
-		// changes the population it must be calibrated against. Drop the
-		// entry — the next query rebuilds and recalibrates, and its
-		// labels come warm out of the cross-query label store.
-		if parent.fusion.Calibrated() {
-			delete(e.indexes, key)
-			e.dropIndexDurably(key)
-			continue
-		}
-		fns := make([]ProxyUDF, len(parent.proxies))
-		ok := true
-		for i, p := range parent.proxies {
-			if fns[i], ok = e.proxies[p]; !ok {
-				break
+		en := &indexEntry{provenance: parent.provenance, fns: parent.fns, epoch: e.storeEpoch(name)}
+		en.build = func() (built, error) {
+			var calls int
+			if parent.ensure() {
+				calls = parent.res.proxyCalls
 			}
+			if parent.err != nil {
+				return built{proxyCalls: calls}, parent.err
+			}
+			b, err := en.buildRange(key.source, parent.res.ix, newLen, e.ixOpts)
+			b.proxyCalls += calls
+			return b, err
 		}
-		if !ok {
-			delete(e.indexes, key)
-			e.dropIndexDurably(key)
-			continue
-		}
-		key, parent := key, parent
-		fusion := parent.fusion
-		e.indexes[key] = &indexEntry{
-			proxies: parent.proxies,
-			fusion:  fusion,
-			epoch:   e.storeEpoch(name),
-			build: func() (built, error) {
-				var b built
-				if parent.ensure() {
-					b.proxyCalls += parent.res.proxyCalls
-				}
-				if parent.err != nil {
-					return b, parent.err
-				}
-				fresh, err := fuseRange(fns, fusion, oldLen, newLen)
-				if err != nil {
-					return b, fmt.Errorf("engine: source %q: %w", key.source, err)
-				}
-				b.proxyCalls += len(fns) * (newLen - oldLen)
-				ix, err := parent.res.ix.Append(fresh)
-				if err != nil {
-					return b, fmt.Errorf("engine: source %q: %w", key.source, err)
-				}
-				b.ix = ix
-				return b, nil
-			},
-		}
+		e.indexes[key] = en
 	}
 	return combined, nil
 }
 
 // fuseRange evaluates every member proxy over records [lo, hi) and
-// fuses the columns with the label-free strategy (FusionNone passes the
-// single column through). Label-free fusions are per-record functions,
-// which is what makes incremental appends possible: fusing only the
-// appended rows yields exactly the rows a full rebuild would compute.
-func fuseRange(fns []ProxyUDF, fusion query.FusionKind, lo, hi int) ([]float64, error) {
-	cols := make([][]float64, len(fns))
-	for i, fn := range fns {
-		cols[i] = scoreRange(fn, lo, hi)
+// fuses the columns with the source's label-free strategy (FusionNone
+// passes the single column through). Label-free fusions are per-record
+// functions, which is what makes incremental appends possible: fusing
+// only the appended rows yields exactly the rows a full rebuild would
+// compute.
+func fuseRange(p provenance, fns []ProxyUDF, lo, hi int) ([]float64, error) {
+	cols, err := scoreColumns(p.proxies, fns, lo, hi)
+	if err != nil {
+		return nil, err
 	}
-	if fusion == query.FusionNone {
+	if p.fusion == query.FusionNone {
 		return cols[0], nil
 	}
-	fuser, err := fuserFor(fusion, 0)
+	fuser, err := fuserFor(p.fusion, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -555,6 +573,12 @@ func fuserFor(fusion query.FusionKind, calibBudget int) (multiproxy.Fuser, error
 func (e *Engine) RegisterOracle(name string, fn OracleUDF) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.registerOracleLocked(name, fn)
+}
+
+// registerOracleLocked installs fn under name, invalidating what a
+// previous registration's labels produced. Callers hold e.mu.
+func (e *Engine) registerOracleLocked(name string, fn OracleUDF) {
 	_, existed := e.oracles[name]
 	e.oracles[name] = fn
 	if existed {
@@ -568,25 +592,19 @@ func (e *Engine) RegisterOracle(name string, fn OracleUDF) {
 func (e *Engine) RegisterProxy(name string, fn ProxyUDF) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.registerProxyLocked(name, fn)
+}
+
+// registerProxyLocked installs fn under name. Only a RE-registration
+// invalidates: the first registration after boot is loading the UDF
+// that staged recovered indexes were built from, not superseding it,
+// and no cached entry can read a proxy before its first registration.
+// Callers hold e.mu.
+func (e *Engine) registerProxyLocked(name string, fn ProxyUDF) {
 	_, existed := e.proxies[name]
 	e.proxies[name] = fn
-	for k, en := range e.indexes {
-		if en.usesProxy(name) {
-			delete(e.indexes, k)
-			e.dropIndexDurably(k)
-		}
-	}
-	// Staged recovered indexes follow the first-registration rule: the
-	// first RegisterProxy after boot is loading the UDF the index was
-	// built from, not superseding it. (In-memory entries need no such
-	// guard — they can only exist if the proxy was already registered.)
 	if existed {
-		for k, si := range e.stagedIx {
-			if si.usesProxy(name) {
-				delete(e.stagedIx, k)
-				e.dropIndexDurably(k)
-			}
-		}
+		e.invalidateLocked(func(_ indexKey, p provenance) bool { return p.usesProxy(name) })
 	}
 }
 
@@ -613,14 +631,22 @@ func (e *Engine) WrapOracle(name string, wrap func(OracleUDF) OracleUDF) bool {
 // column was calibrated with it. Callers hold e.mu.
 func (e *Engine) invalidateOracleLocked(name string) {
 	e.labels.InvalidateOracle(name)
+	e.invalidateLocked(func(_ indexKey, p provenance) bool { return p.calibOracle == name })
+}
+
+// invalidateLocked is the engine's one invalidation walk: it deletes
+// every cached entry and staged recovery whose key and provenance
+// satisfy drop, and tombstones each durably, so neither a restart nor
+// an in-flight flush can resurrect it. Callers hold e.mu.
+func (e *Engine) invalidateLocked(drop func(indexKey, provenance) bool) {
 	for k, en := range e.indexes {
-		if en.calibOracle == name {
+		if drop(k, en.provenance) {
 			delete(e.indexes, k)
 			e.dropIndexDurably(k)
 		}
 	}
 	for k, si := range e.stagedIx {
-		if si.calibOracle == name {
+		if drop(k, si.provenance) {
 			delete(e.stagedIx, k)
 			e.dropIndexDurably(k)
 		}
@@ -638,53 +664,24 @@ func (e *Engine) invalidateOracleLocked(name string) {
 func (e *Engine) RegisterDatasetDefaults(name string, d *dataset.Dataset) {
 	ref := &atomic.Pointer[dataset.Dataset]{}
 	ref.Store(d)
-	oracleName, proxyName := name+"_oracle", name+"_proxy"
 	// One critical section for table, UDFs, ref, and invalidation: a
 	// concurrent AppendTable interleaving between the steps could
 	// otherwise extend the table without extending the ref the UDFs
-	// read, and the next proxy scan would index out of range.
+	// read, and the next proxy scan would index out of range. The table
+	// goes first, so its durable drop covers its own indexes before the
+	// UDF walks run.
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	_, tableExisted := e.tables[name]
-	_, oracleExisted := e.oracles[oracleName]
-	_, proxyExisted := e.proxies[proxyName]
-	e.tables[name] = d
-	e.oracles[oracleName] = func(i int) (bool, error) {
+	e.registerTableLocked(name, d)
+	e.registerOracleLocked(name+"_oracle", func(i int) (bool, error) {
 		cur := ref.Load()
 		if i < 0 || i >= cur.Len() {
 			return false, fmt.Errorf("engine: record %d out of range", i)
 		}
 		return cur.TrueLabel(i), nil
-	}
-	e.proxies[proxyName] = func(i int) float64 { return ref.Load().Score(i) }
+	})
+	e.registerProxyLocked(name+"_proxy", func(i int) float64 { return ref.Load().Score(i) })
 	e.refs[name] = ref
-	for k, en := range e.indexes {
-		if k.table == name || en.usesProxy(proxyName) || en.calibOracle == oracleName {
-			delete(e.indexes, k)
-			if k.table != name {
-				// Same-table drops are tombstoned wholesale by
-				// persistTableLocked below (when not adopting).
-				e.dropIndexDurably(k)
-			}
-		}
-	}
-	// Invalidate only on re-registration (see RegisterTable): a fresh
-	// boot loading the same dataset keeps every WAL-replayed label.
-	if tableExisted {
-		e.labels.InvalidateTable(name)
-	}
-	if oracleExisted {
-		e.labels.InvalidateOracle(oracleName)
-	}
-	if proxyExisted || oracleExisted {
-		for k, si := range e.stagedIx {
-			if (proxyExisted && si.usesProxy(proxyName)) || (oracleExisted && si.calibOracle == oracleName) {
-				delete(e.stagedIx, k)
-				e.dropIndexDurably(k)
-			}
-		}
-	}
-	e.persistTableLocked(name, d, tableExisted)
 }
 
 // QueryResult is the engine-level answer with execution statistics.
@@ -1044,44 +1041,31 @@ func (e *Engine) newIndexEntryLocked(key indexKey, plan *query.Plan) (*indexEntr
 		return nil, fmt.Errorf("engine: table %q no longer registered", plan.Table)
 	}
 	src := plan.Source
-	fns := make([]ProxyUDF, len(src.Proxies))
+	entry := &indexEntry{
+		provenance: provenance{proxies: append([]string(nil), src.Proxies...), fusion: src.Fusion},
+		fns:        make([]ProxyUDF, len(src.Proxies)),
+		epoch:      e.storeEpoch(key.table),
+	}
+	if src.Fusion.Calibrated() {
+		entry.calibOracle = plan.OracleUDF
+	}
 	for i, p := range src.Proxies {
 		fn, ok := e.proxies[p]
 		if !ok {
 			return nil, fmt.Errorf("engine: table %q / proxy %q no longer registered", plan.Table, p)
 		}
-		fns[i] = fn
+		entry.fns[i] = fn
 	}
-	opts := e.ixOpts
-	entry := &indexEntry{
-		proxies: append([]string(nil), src.Proxies...),
-		fusion:  src.Fusion,
-		epoch:   e.storeEpoch(key.table),
-	}
+	n := table.Len()
 
-	// A staged recovered index for this exact (table, source) short-
-	// circuits the build: the persisted permutation was verified at
-	// boot, so the entry adopts it (whole, or as the base of an append
-	// chain when the table grew since the flush).
-	if adopted := e.adoptStagedLocked(key, src, table, fns); adopted != nil {
-		entry.recovered = true
-		entry.build = adopted
-		if src.Fusion.Calibrated() {
-			entry.calibOracle = plan.OracleUDF
-		}
-		return entry, nil
-	}
-
-	if src.Single() {
-		proxyFn, proxyName := fns[0], src.Proxies[0]
-		entry.build = func() (built, error) {
-			scores := scoreRange(proxyFn, 0, table.Len())
-			ix, err := index.NewWithOptions(scores, opts)
-			if err != nil {
-				return built{proxyCalls: table.Len()}, oracle.Permanent(fmt.Errorf("engine: proxy %q: %w", proxyName, err))
-			}
-			return built{ix: ix, proxyCalls: table.Len()}, nil
-		}
+	// A staged recovered index for this exact (table, source) is the
+	// base of the build: the persisted permutation was verified at boot,
+	// so the entry adopts it whole, or extends it by the records appended
+	// since the flush. Label-free sources without one build from scratch.
+	base := e.adoptStagedLocked(key, entry.provenance, n)
+	if base != nil || !src.Fusion.Calibrated() {
+		entry.recovered = base != nil
+		entry.build = func() (built, error) { return entry.buildRange(key.source, base, n, e.ixOpts) }
 		return entry, nil
 	}
 
@@ -1098,53 +1082,40 @@ func (e *Engine) newIndexEntryLocked(key indexKey, plan *query.Plan) (*indexEntr
 	// streams derive from the engine seed and the source identity —
 	// never from the query text — so every query of the source shares
 	// one fused column.
-	var (
-		oracleFn   OracleUDF
-		labelCache *labelstore.Cache
-		seed       = e.seed
-	)
-	if src.Fusion.Calibrated() {
-		var okO bool
-		oracleFn, okO = e.oracles[plan.OracleUDF]
-		if !okO {
-			return nil, fmt.Errorf("engine: oracle UDF %q no longer registered", plan.OracleUDF)
-		}
-		entry.calibOracle = plan.OracleUDF
-		if e.labels != nil {
-			labelCache = e.labels.Cache(plan.Table, plan.OracleUDF)
-		}
+	oracleFn, okO := e.oracles[plan.OracleUDF]
+	if !okO {
+		return nil, fmt.Errorf("engine: oracle UDF %q no longer registered", plan.OracleUDF)
 	}
-	sourceID, oracleName := key.source, plan.OracleUDF
+	var labelCache *labelstore.Cache
+	if e.labels != nil {
+		labelCache = e.labels.Cache(plan.Table, plan.OracleUDF)
+	}
 	entry.build = func() (built, error) {
-		n := table.Len()
-		cols := make([][]float64, len(fns))
-		for i, fn := range fns {
-			cols[i] = scoreRange(fn, 0, n)
+		b := built{proxyCalls: len(entry.fns) * n}
+		cols, err := scoreColumns(entry.proxies, entry.fns, 0, n)
+		if err != nil {
+			return b, oracle.Permanent(fmt.Errorf("engine: source %q: %w", key.source, err))
 		}
-		b := built{proxyCalls: len(fns) * n}
-		var budgeted *oracle.Budgeted
-		if fuser.NeedsOracle() {
-			// The build is shared by every query of the source, so no
-			// single query's context may cancel its calibration.
-			calib := e.resilient(context.Background(), oracleFn, oracleName, seed^hashString("resilient:calibrate:"+sourceID), nil)
-			budgeted = oracle.NewBudgeted(calib, fuser.CalibrationBudget)
-			if labelCache != nil {
-				// Guard before the interface conversion: a typed-nil
-				// *labelstore.Cache would defeat WithStore's nil check and
-				// panic on first use when the label store is disabled.
-				budgeted.WithStore(labelCache, false)
-			}
+		// The build is shared by every query of the source, so no single
+		// query's context may cancel its calibration.
+		calib := e.resilient(context.Background(), oracleFn, entry.calibOracle, e.seed^hashString("resilient:calibrate:"+key.source), nil)
+		budgeted := oracle.NewBudgeted(calib, fuser.CalibrationBudget)
+		if labelCache != nil {
+			// Guard before the interface conversion: a typed-nil
+			// *labelstore.Cache would defeat WithStore's nil check and
+			// panic on first use when the label store is disabled.
+			budgeted.WithStore(labelCache, false)
 		}
-		rng := randx.New(seed).Stream(hashString("calibrate:" + sourceID))
+		rng := randx.New(e.seed).Stream(hashString("calibrate:" + key.source))
 		fused, err := fuser.Fuse(rng, cols, budgeted)
 		if err != nil {
-			return b, fmt.Errorf("engine: source %q: %w", sourceID, err)
+			return b, fmt.Errorf("engine: source %q: %w", key.source, err)
 		}
 		b.calibCalls = fused.CalibrationCalls
 		b.calibHits = fused.CalibrationStoreHits
-		ix, err := index.NewWithOptions(fused.Scores, opts)
+		ix, err := index.NewWithOptions(fused.Scores, e.ixOpts)
 		if err != nil {
-			return b, oracle.Permanent(fmt.Errorf("engine: source %q: %w", sourceID, err))
+			return b, oracle.Permanent(fmt.Errorf("engine: source %q: %w", key.source, err))
 		}
 		b.ix = ix
 		return b, nil
@@ -1152,20 +1123,31 @@ func (e *Engine) newIndexEntryLocked(key indexKey, plan *query.Plan) (*indexEntr
 	return entry, nil
 }
 
-// scoreAll evaluates the proxy over all records, in parallel shards.
-func scoreAll(proxyFn ProxyUDF, n int) []float64 {
-	return scoreRange(proxyFn, 0, n)
+// scoreColumns evaluates every member proxy over records [lo, hi).
+func scoreColumns(names []string, fns []ProxyUDF, lo, hi int) ([][]float64, error) {
+	cols := make([][]float64, len(fns))
+	for i, fn := range fns {
+		var err error
+		if cols[i], err = scoreRange(fn, lo, hi); err != nil {
+			return nil, fmt.Errorf("proxy %q: %w", names[i], err)
+		}
+	}
+	return cols, nil
 }
 
 // scoreRange evaluates the proxy over records [lo, hi), in parallel
-// shards, returning the hi-lo scores in record order.
-func scoreRange(proxyFn ProxyUDF, lo, hi int) []float64 {
+// shards, returning the hi-lo scores in record order. A panicking UDF
+// fails the scan instead of the process: the error names the lowest
+// record whose evaluation panicked (shards cover ascending ranges and
+// each stops at its first panic), so it is as deterministic as the UDF.
+func scoreRange(proxyFn ProxyUDF, lo, hi int) ([]float64, error) {
 	n := hi - lo
 	scores := make([]float64, n)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = 1
 	}
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
 	for w := 0; w < workers; w++ {
@@ -1178,15 +1160,26 @@ func scoreRange(proxyFn ProxyUDF, lo, hi int) []float64 {
 			break
 		}
 		wg.Add(1)
-		go func(start, end int) {
+		go func(w, start, end int) {
 			defer wg.Done()
-			for i := start; i < end; i++ {
+			i := start
+			defer func() {
+				if r := recover(); r != nil {
+					errs[w] = fmt.Errorf("record %d: proxy UDF panicked: %v", lo+i, r)
+				}
+			}()
+			for ; i < end; i++ {
 				scores[i] = proxyFn(lo + i)
 			}
-		}(start, end)
+		}(w, start, end)
 	}
 	wg.Wait()
-	return scores
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return scores, nil
 }
 
 func (e *Engine) tableNames() []string {

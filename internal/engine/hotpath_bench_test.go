@@ -123,7 +123,10 @@ func BenchmarkSelectHotPathPreIndex(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scores := scoreAll(proxyFn, d.Len())
+		scores, err := scoreRange(proxyFn, 0, d.Len())
+		if err != nil {
+			b.Fatal(err)
+		}
 		for j, s := range scores {
 			if s < 0 || s > 1 || s != s {
 				b.Fatalf("score %g at %d", s, j)

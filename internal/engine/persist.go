@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -11,29 +10,36 @@ import (
 	"supg/internal/storage"
 )
 
-// The durable storage tier (Options.PersistDir) hooks into the engine
-// at four points:
+// Every score-source index has one lifecycle, whatever its origin:
 //
-//   - Open stages everything the storage tier recovered: datasets and
-//     verified indexes wait in e.staged / e.stagedIx until the
-//     registrations they depend on arrive.
-//   - Registration either ADOPTS staged state (first registration of a
-//     recovered name with identical content — loading, not
-//     superseding, mirroring the label store's WAL semantics) or
-//     durably drops and rewrites it.
-//   - tableIndex flushes a freshly built index after publishing it,
-//     outside the engine lock; a per-table epoch makes a flush that
-//     raced an invalidation abandon itself instead of resurrecting
-//     tombstoned state.
-//   - Every invalidation site (table/proxy/oracle re-registration,
-//     append-driven entry drops) tombstones the corresponding durable
-//     record, so a restart can never resurrect state the process
-//     dropped.
+//   - Creation (newIndexEntryLocked) snapshots the source's provenance —
+//     member proxies, fusion, calibration oracle — and its member proxy
+//     UDFs, and picks a base: nothing, or a staged recovered index of
+//     the same (table, source) and provenance.
+//   - Build (indexEntry.buildRange) scores the records the base does not
+//     cover and builds or extends the index; an empty range adopts the
+//     base whole. An append republishes each cached label-free entry
+//     with its parent's index as the base; calibrated fusions are the
+//     one other build, since their stacker needs oracle labels.
+//   - Flush (persistIndex) writes a freshly built or extended index to
+//     the durable tier outside the engine lock; a per-table epoch makes
+//     a flush that raced an invalidation abandon itself instead of
+//     resurrecting tombstoned state.
+//   - Invalidation (invalidateLocked) is one walk over cached entries
+//     and staged recoveries that deletes and durably tombstones every
+//     index a re-registration, a wrapped oracle, or an append
+//     supersedes. A table's own indexes go with its durable drop
+//     (registerTableLocked).
 //
-// All staged state is consumed at most once: a staged index either
-// becomes the cache entry for its (table, source) — whole if lengths
-// match, as the base of an append chain if the table grew — or is
-// durably dropped the first time it is found unusable.
+// Open stages what the storage tier recovered: datasets and verified
+// indexes wait in e.staged / e.stagedIx until the registrations they
+// depend on arrive. The first registration of a recovered name is
+// loading, not superseding (mirroring the label store's WAL
+// semantics): a table with identical content adopts its on-disk state,
+// and a first proxy or oracle registration invalidates nothing. A
+// re-registration drops. A staged index is consumed at most once: it
+// becomes the base of its (table, source) entry or is durably dropped
+// the first time it is found unusable.
 
 // stagedTable is a recovered dataset awaiting its first registration.
 type stagedTable struct {
@@ -44,33 +50,8 @@ type stagedTable struct {
 // stagedIndex is a recovered, verified index awaiting the first query
 // of its (table, source) after the member registrations return.
 type stagedIndex struct {
-	ix          *index.ScoreIndex
-	proxies     []string
-	fusion      query.FusionKind
-	calibOracle string
-}
-
-func (si *stagedIndex) usesProxy(name string) bool {
-	for _, p := range si.proxies {
-		if p == name {
-			return true
-		}
-	}
-	return false
-}
-
-// matches reports whether the staged index's provenance is exactly the
-// plan source's (defense in depth: the cache key already encodes it).
-func (si *stagedIndex) matches(src query.ScoreSource) bool {
-	if si.fusion != src.Fusion || len(si.proxies) != len(src.Proxies) {
-		return false
-	}
-	for i, p := range si.proxies {
-		if src.Proxies[i] != p {
-			return false
-		}
-	}
-	return true
+	ix *index.ScoreIndex
+	provenance
 }
 
 // openStorage opens the persistence directory and stages its recovered
@@ -94,10 +75,8 @@ func (e *Engine) openStorage(opts Options) error {
 			continue
 		}
 		e.stagedIx[indexKey{table: ri.Table, source: ri.Source}] = &stagedIndex{
-			ix:          ri.Index,
-			proxies:     ri.Proxies,
-			fusion:      fusion,
-			calibOracle: ri.CalibOracle,
+			ix:         ri.Index,
+			provenance: provenance{proxies: ri.Proxies, fusion: fusion, calibOracle: ri.CalibOracle},
 		}
 	}
 	return nil
@@ -111,39 +90,6 @@ func fusionFromString(s string) (query.FusionKind, bool) {
 		}
 	}
 	return query.FusionNone, false
-}
-
-// persistTableLocked records a table registration durably. The first
-// registration of a recovered name with identical content (same
-// dataset pointer, or same binary CRC) adopts the on-disk state — the
-// files already describe exactly this dataset, and the staged indexes
-// stay eligible. Anything else — a RE-registration, or different
-// content — durably drops the old state (dataset, indexes, staged
-// recoveries) and persists the new dataset. Callers hold e.mu.
-func (e *Engine) persistTableLocked(name string, d *dataset.Dataset, existed bool) {
-	if e.store == nil {
-		return
-	}
-	if !existed {
-		if st, ok := e.staged[name]; ok && (st.ds == d || storage.DatasetCRC(d) == st.crc) {
-			delete(e.staged, name)
-			return
-		}
-	}
-	e.dropStagedTableLocked(name)
-	e.store.DropTable(name)
-	e.store.SaveDataset(name, d) // best-effort: a failed write degrades to rebuild-on-boot
-}
-
-// dropStagedTableLocked discards staged recoveries of a table (the
-// durable records go with store.DropTable). Callers hold e.mu.
-func (e *Engine) dropStagedTableLocked(name string) {
-	delete(e.staged, name)
-	for k := range e.stagedIx {
-		if k.table == name {
-			delete(e.stagedIx, k)
-		}
-	}
 }
 
 // dropIndexDurably tombstones one (table, source) index record and
@@ -174,54 +120,24 @@ func (e *Engine) storeEpoch(table string) uint64 {
 	return e.store.Epoch(table)
 }
 
-// adoptStagedLocked consumes a staged recovered index for key, if one
-// exists and is usable against the current table and source. It
-// returns a build closure (plus the recovered flag) or nil to build
-// from scratch. Callers hold e.mu; fns are the snapshotted member
-// proxies of the source.
-func (e *Engine) adoptStagedLocked(key indexKey, src query.ScoreSource, table *dataset.Dataset, fns []ProxyUDF) func() (built, error) {
-	if e.store == nil {
-		return nil
-	}
+// adoptStagedLocked consumes the staged recovered index for key and
+// returns it when it can be the base of an entry with provenance p over
+// an n-record table: the provenance matches exactly (defense in depth:
+// the cache key already encodes it) and the index covers a prefix of
+// the table — all of it for calibrated fusions, whose stacker must be
+// refitted against a grown population. An unusable staged index is
+// dropped durably. Callers hold e.mu.
+func (e *Engine) adoptStagedLocked(key indexKey, p provenance, n int) *index.ScoreIndex {
 	si, ok := e.stagedIx[key]
 	if !ok {
 		return nil
 	}
 	delete(e.stagedIx, key) // consumed either way
-	if !si.matches(src) || si.ix.Len() > table.Len() {
+	if !si.equal(p) || si.ix.Len() > n || (p.fusion.Calibrated() && si.ix.Len() != n) {
 		e.dropIndexDurably(key)
 		return nil
 	}
-	if si.ix.Len() == table.Len() {
-		// Whole-index adoption: zero proxy calls, zero sorts — the
-		// verified on-disk permutation answers queries byte-identically.
-		ix := si.ix
-		return func() (built, error) { return built{ix: ix}, nil }
-	}
-	// The table grew (AppendTable, or a larger upload adopted by CRC —
-	// impossible, so: appends) since the index was flushed. Label-free
-	// sources extend incrementally: score only the tail and append it
-	// as fresh segments, exactly like an in-process append. Calibrated
-	// fusions must recalibrate against the grown population — drop.
-	if src.Fusion.Calibrated() {
-		e.dropIndexDurably(key)
-		return nil
-	}
-	base, fusion := si.ix, src.Fusion
-	lo, hi, source := base.Len(), table.Len(), key.source
-	return func() (built, error) {
-		fresh, err := fuseRange(fns, fusion, lo, hi)
-		if err != nil {
-			return built{}, fmt.Errorf("engine: source %q: %w", source, err)
-		}
-		b := built{proxyCalls: len(fns) * (hi - lo)}
-		ix, err := base.Append(fresh)
-		if err != nil {
-			return b, fmt.Errorf("engine: source %q: %w", source, err)
-		}
-		b.ix = ix
-		return b, nil
-	}
+	return si.ix
 }
 
 // persistIndex flushes a just-built index to the durable store. Runs

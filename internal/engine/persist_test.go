@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"supg/internal/dataset"
@@ -310,5 +312,124 @@ func TestRestartDifferentContentRewrites(t *testing.T) {
 	rec := e3.RecoveredDatasets()
 	if len(rec) != 1 || rec[0].Score(0) != d2.Score(0) {
 		t.Fatal("replacement content not persisted")
+	}
+}
+
+const (
+	fusedMeanSQL = `SELECT * FROM t WHERE o(x) ORACLE LIMIT 500 USING FUSE(mean, p(x), q(x)) RECALL TARGET 90% WITH PROBABILITY 95%`
+	fusedLogSQL  = `SELECT * FROM t WHERE o(x) ORACLE LIMIT 500 USING FUSE(logistic, p(x), q(x)) CALIBRATE 100 RECALL TARGET 90% WITH PROBABILITY 95%`
+)
+
+// fusedPersistEngine opens an engine over dir with table t = d, oracle
+// o and two proxy views of d's scores, p (as is) and q (square root),
+// both counted into proxyCalls.
+func fusedPersistEngine(t *testing.T, dir string, d *dataset.Dataset, proxyCalls *atomic.Int64) *Engine {
+	t.Helper()
+	e, err := Open(7, Options{PersistDir: dir, SegmentSize: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	e.RegisterTable("t", d)
+	e.RegisterOracle("o", func(i int) (bool, error) { return d.TrueLabel(i), nil })
+	e.RegisterProxy("p", func(i int) float64 { proxyCalls.Add(1); return d.Score(i) })
+	e.RegisterProxy("q", func(i int) float64 { proxyCalls.Add(1); return math.Sqrt(d.Score(i)) })
+	return e
+}
+
+func mustExecute(t *testing.T, e *Engine, sql string) *QueryResult {
+	t.Helper()
+	res, err := e.Execute(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestRestartAdoptsFusedIndexes: label-free and calibrated fused
+// indexes are recovered whole after a restart — no proxy calls, no
+// sorts, no calibration labels — and answer identically. Wrapping the
+// calibration oracle after boot drops the staged calibrated index, so
+// the next query rebuilds and recalibrates it.
+func TestRestartAdoptsFusedIndexes(t *testing.T) {
+	dir := t.TempDir()
+	d := dataset.Beta(randx.New(38), 20000, 0.05, 1)
+
+	var calls1 atomic.Int64
+	e1 := fusedPersistEngine(t, dir, d, &calls1)
+	coldMean := mustExecute(t, e1, fusedMeanSQL)
+	coldLog := mustExecute(t, e1, fusedLogSQL)
+	if !coldMean.IndexBuilt || !coldLog.IndexBuilt || coldLog.CalibrationCalls != 100 {
+		t.Fatalf("cold fused queries: mean %+v, logistic %+v", coldMean, coldLog)
+	}
+	e1.Close()
+
+	var calls2 atomic.Int64
+	sortsBefore := index.BuildSortsTotal()
+	e2 := fusedPersistEngine(t, dir, d.Clone(), &calls2)
+	mean := mustExecute(t, e2, fusedMeanSQL)
+	if !mean.IndexRecovered || mean.IndexBuilt || mean.ProxyCalls != 0 || calls2.Load() != 0 {
+		t.Fatalf("recovered mean fusion: IndexRecovered=%v IndexBuilt=%v ProxyCalls=%d UDF calls=%d",
+			mean.IndexRecovered, mean.IndexBuilt, mean.ProxyCalls, calls2.Load())
+	}
+	if sorts := index.BuildSortsTotal() - sortsBefore; sorts != 0 {
+		t.Fatalf("recovered mean fusion performed %d permutation sorts, want 0", sorts)
+	}
+	assertSameResult(t, coldMean, mean)
+	logistic := mustExecute(t, e2, fusedLogSQL)
+	if !logistic.IndexRecovered || logistic.IndexBuilt || logistic.CalibrationCalls != 0 || calls2.Load() != 0 {
+		t.Fatalf("recovered logistic fusion: IndexRecovered=%v IndexBuilt=%v CalibrationCalls=%d UDF calls=%d",
+			logistic.IndexRecovered, logistic.IndexBuilt, logistic.CalibrationCalls, calls2.Load())
+	}
+	assertSameResult(t, coldLog, logistic)
+	e2.Close()
+
+	var calls3 atomic.Int64
+	e3 := fusedPersistEngine(t, dir, d.Clone(), &calls3)
+	if !e3.WrapOracle("o", func(inner OracleUDF) OracleUDF { return inner }) {
+		t.Fatal("oracle o not registered")
+	}
+	rebuilt := mustExecute(t, e3, fusedLogSQL)
+	if rebuilt.IndexRecovered || !rebuilt.IndexBuilt || rebuilt.CalibrationCalls != 100 {
+		t.Fatalf("wrapped oracle kept the staged calibrated index: IndexRecovered=%v IndexBuilt=%v CalibrationCalls=%d",
+			rebuilt.IndexRecovered, rebuilt.IndexBuilt, rebuilt.CalibrationCalls)
+	}
+}
+
+// TestRestartFusedAppend: after an append and a restart, a label-free
+// fused index is recovered and extended by scoring only the appended
+// tail (members x tail proxy calls), byte-identical to a fresh build; a
+// calibrated fused index is rebuilt over the whole grown table.
+func TestRestartFusedAppend(t *testing.T) {
+	dir := t.TempDir()
+	base := dataset.Beta(randx.New(38), 20000, 0.05, 1)
+	extra := dataset.Beta(randx.New(39), 5000, 0.05, 1)
+
+	var calls1 atomic.Int64
+	e1 := fusedPersistEngine(t, dir, base, &calls1)
+	mustExecute(t, e1, fusedMeanSQL)
+	mustExecute(t, e1, fusedLogSQL)
+	if _, err := e1.AppendTable("t", extra); err != nil {
+		t.Fatal(err)
+	}
+	e1.Close()
+
+	combined := base.Append(extra)
+	var calls2 atomic.Int64
+	e2 := fusedPersistEngine(t, dir, combined, &calls2)
+	mean := mustExecute(t, e2, fusedMeanSQL)
+	if !mean.IndexRecovered || mean.ProxyCalls != 2*extra.Len() || calls2.Load() != int64(2*extra.Len()) {
+		t.Fatalf("recovered mean fusion after append: IndexRecovered=%v ProxyCalls=%d UDF calls=%d, want tail of %d",
+			mean.IndexRecovered, mean.ProxyCalls, calls2.Load(), 2*extra.Len())
+	}
+	var freshCalls atomic.Int64
+	fresh := fusedPersistEngine(t, t.TempDir(), combined, &freshCalls)
+	assertSameResult(t, mustExecute(t, fresh, fusedMeanSQL), mean)
+
+	calls2.Store(0)
+	logistic := mustExecute(t, e2, fusedLogSQL)
+	if logistic.IndexRecovered || !logistic.IndexBuilt || logistic.ProxyCalls != 2*combined.Len() || calls2.Load() != int64(2*combined.Len()) {
+		t.Fatalf("calibrated fusion after append: IndexRecovered=%v IndexBuilt=%v ProxyCalls=%d UDF calls=%d, want full rebuild of %d",
+			logistic.IndexRecovered, logistic.IndexBuilt, logistic.ProxyCalls, calls2.Load(), 2*combined.Len())
 	}
 }

@@ -181,3 +181,40 @@ func TestAppendEndpointErrors(t *testing.T) {
 		t.Fatalf("GET append: %d, want 405", w.Code)
 	}
 }
+
+// TestPanickingProxyAfterAppendAnswers400: a proxy UDF that panics on
+// appended records fails the query with 400 instead of killing the
+// process, and keeps failing (a cached permanent build error) until the
+// proxy is re-registered.
+func TestPanickingProxyAfterAppendAnswers400(t *testing.T) {
+	base := dataset.Beta(randx.New(23), 3000, 0.01, 2)
+	extra := dataset.Beta(randx.New(24), 500, 0.01, 2)
+	sql := `SELECT * FROM t WHERE t_oracle(x) ORACLE LIMIT 300 USING p(x) RECALL TARGET 90% WITH PROBABILITY 95%`
+
+	s := New(3)
+	defer shutdownServer(t, s)
+	s.RegisterDataset("t", base)
+	s.RegisterProxy("p", func(i int) float64 {
+		if i >= base.Len() {
+			panic("no score")
+		}
+		return base.Score(i)
+	})
+	queryOnce(t, s, sql)
+	if w := putBody(t, s, "/v1/datasets/t/append", "", csvBytes(t, extra)); w.Code != http.StatusOK {
+		t.Fatalf("append: %d %s", w.Code, w.Body.String())
+	}
+	body, _ := json.Marshal(QueryRequest{SQL: sql})
+	for i := 0; i < 2; i++ {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("query %d over the panicking proxy: %d %s, want 400", i+1, w.Code, w.Body.String())
+		}
+	}
+
+	s.RegisterProxy("p", func(i int) float64 { return float64(i%100) / 100 })
+	if res := queryOnce(t, s, sql); res.ProxyCalls != base.Len()+extra.Len() {
+		t.Fatalf("after re-registration: proxy_calls %d, want a full %d-record build", res.ProxyCalls, base.Len()+extra.Len())
+	}
+}

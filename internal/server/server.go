@@ -52,17 +52,11 @@ type Options struct {
 	// (default index.DefaultSegmentSize). Results are identical at any
 	// setting; it tunes build parallelism granularity and append cost.
 	SegmentSize int
-	// IndexBuildParallelism bounds concurrent segment builds per index
-	// (default GOMAXPROCS).
-	IndexBuildParallelism int
 	// LabelCacheBytes bounds the cross-query oracle label store shared
 	// by every query and job (default 64 MiB; negative disables label
 	// reuse). In the default charged mode the store changes only the
 	// oracle UDF's call count, never query results.
 	LabelCacheBytes int64
-	// LabelCacheShards is the label store's shard count per (table,
-	// oracle) pair (default 16).
-	LabelCacheShards int
 	// LabelWALPath, when non-empty, makes the label store crash-durable:
 	// bought labels are journaled to a write-ahead log and replayed on
 	// boot, so a restarted server re-buys zero labels (see
@@ -165,9 +159,7 @@ func Open(seed uint64, opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	eng, err := engine.Open(seed, engine.Options{
 		SegmentSize:       opts.SegmentSize,
-		BuildParallelism:  opts.IndexBuildParallelism,
 		LabelCacheBytes:   opts.LabelCacheBytes,
-		LabelCacheShards:  opts.LabelCacheShards,
 		LabelWALPath:      opts.LabelWALPath,
 		LabelWALSyncEvery: opts.LabelWALSyncEvery,
 		OracleTimeout:     opts.OracleTimeout,
